@@ -6,8 +6,8 @@ Subcommands: ``verify`` (identity suites), ``euler`` (E-number tables),
 runner).  Rational inputs use the exact ``a/b`` literal format, real inputs
 use decimal literals, grids are ``start:end:step``.
 
-Exit codes: 0 all checks pass, 1 identity violation, 2 usage error,
-3 domain error (pole q, bad prime, and so on).
+Exit codes: 0 all checks pass, 1 identity violation, 2 usage error
+(including work-size limits), 3 domain error (pole q, bad prime, and so on).
 """
 
 from __future__ import annotations
@@ -22,11 +22,18 @@ from pathlib import Path
 
 from .bernstein import basis_eval_exact, basis_eval_real, monomial_samples, operator_eval_real
 from .euler import euler_number, fermionic_sum
-from .kernel import DomainError, format_rational, padic_valuation, parse_rational
+from .kernel import DomainError, format_rational, is_odd_prime, padic_valuation, parse_rational
 from .tables import emit_table
 from .verify import DEFAULT_QS, SUITES, IdentityReport, VerifyConfig, run_verify_suite
 
 __all__ = ["main"]
+
+# Work-size limits, checked before any work starts.  On a 2-core x86-64
+# host with Python 3.11, `qb euler --q 11/7 --nmax 300` takes about 14 s
+# (3 s at q = 2/3), and `qb padic --q 7/4 --n 6 --levels 8`, which adds
+# 3 + 9 + ... + 3**8 = 9840 sixth powers, about 6 s.
+EULER_NMAX_LIMIT = 300
+PADIC_WORK_LIMIT = 60_000  # (p + p**2 + ... + p**levels) * max(n, 1)
 
 
 class _UsageError(Exception):
@@ -106,8 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_upoly.set_defaults(handler=_cmd_bernstein_upoly)
 
     p_op = sub.add_parser("operator", help="evaluate the operator over an x grid")
-    p_op.add_argument("--f", metavar="t^M", help="monomial integrand, e.g. t^2")
-    p_op.add_argument("--samples", metavar="PATH", help="CSV of k,f(k/n) rows")
+    integrand = p_op.add_mutually_exclusive_group(required=True)
+    integrand.add_argument("--f", metavar="t^M", help="monomial integrand, e.g. t^2")
+    integrand.add_argument("--samples", metavar="PATH", help="CSV of k,f(k/n) rows")
     p_op.add_argument("--n", type=int, help="operator degree (required with --f)")
     p_op.add_argument("--q", type=float, required=True)
     p_op.add_argument("--grid", type=_grid, default="0:1:0.05")
@@ -125,6 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    for q in args.q or ():
+        if q in (0, 1, -1):
+            raise DomainError(
+                f"q = {q} is a pole of the verified identities; q must avoid 0, 1 and -1"
+            )
     try:
         cfg = VerifyConfig(
             suite=args.suite,
@@ -176,6 +189,8 @@ def _print_report(report: IdentityReport) -> None:
 
 
 def _cmd_euler(args) -> int:
+    if args.nmax > EULER_NMAX_LIMIT:
+        raise _UsageError(f"--nmax {args.nmax} exceeds the work limit {EULER_NMAX_LIMIT}")
     data = emit_table("euler", {"q": args.q, "nmax": args.nmax}, args.format)
     sys.stdout.buffer.write(data)
     return 0
@@ -240,8 +255,6 @@ def _read_samples(path: str) -> list[Fraction]:
 
 
 def _cmd_operator(args) -> int:
-    if (args.f is None) == (args.samples is None):
-        raise _UsageError("give exactly one of --f or --samples")
     if args.f is not None:
         if args.n is None:
             raise _UsageError("--f needs --n (the operator degree)")
@@ -249,7 +262,7 @@ def _cmd_operator(args) -> int:
             raise _UsageError("--n must be nonnegative")
         samples = monomial_samples(_parse_monomial_spec(args.f), args.n)
     else:
-        samples = _read_samples(args.samples)
+        samples = args.samples
         if args.n is not None and args.n != len(samples) - 1:
             raise _UsageError(
                 f"--n {args.n} contradicts the samples file (n = {len(samples) - 1})"
@@ -271,6 +284,18 @@ def _cmd_operator(args) -> int:
 def _cmd_padic(args) -> int:
     if args.levels < 1:
         raise _UsageError("--levels must be >= 1")
+    if args.n > EULER_NMAX_LIMIT:
+        raise _UsageError(f"--n {args.n} exceeds the work limit {EULER_NMAX_LIMIT}")
+    if not is_odd_prime(args.p):
+        raise DomainError(f"p must be an odd prime, got {args.p}")
+    work = 0
+    for level in range(1, args.levels + 1):
+        work += args.p**level * max(args.n, 1)
+        if work > PADIC_WORK_LIMIT:
+            raise _UsageError(
+                f"--p {args.p} --n {args.n} --levels {args.levels} exceeds the work limit: "
+                f"the terms summed times max(n, 1) must stay within {PADIC_WORK_LIMIT}"
+            )
     limit = euler_number(args.n, args.q)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -286,7 +311,13 @@ def _cmd_padic(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Exact output can run past Python's int-to-str digit limit.  Lift it
+    # only after every user-supplied literal (argv, samples file) is parsed.
+    limit = sys.get_int_max_str_digits()
     try:
+        if getattr(args, "samples", None) is not None:
+            args.samples = _read_samples(args.samples)
+        sys.set_int_max_str_digits(0)
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -294,6 +325,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

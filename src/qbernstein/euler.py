@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .kernel import (
     DomainError,
@@ -89,28 +90,60 @@ class EulerTable:
         return True
 
 
-_CACHE: dict[Fraction, tuple[Fraction, ...]] = {}
+class _Prefix(NamedTuple):
+    """A cached E-table prefix: the values, and the same values written as
+    integer numerators over their least common denominator ``den``."""
+
+    values: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
+
+
+_CACHE: dict[Fraction, _Prefix] = {}
 
 
 def euler_table(q, nmax: int) -> EulerTable:
     """Build E_0..E_nmax by the recurrence E_n = -(sum_{l<n} C(n,l) q**l E_l) / (1 + q**n).
 
-    Prefixes per q are cached module-wide; tables themselves are immutable.
+    The recurrence runs on integers: with q = a/b and E_l = e_l / D over
+    the least common denominator D of the entries so far,
+
+        E_n = -sum_{l<n} C(n,l) a**l b**(n-l) e_l / (D (a**n + b**n)).
+
+    One gcd against the small factor a**n + b**n keeps D the least common
+    denominator, and each new entry is normalised once, when its Fraction
+    is built.  Prefixes per q are cached module-wide, integer state
+    included, so a longer request resumes where the cache stops; tables
+    themselves are immutable.
     """
     q = to_rational(q)
     if nmax < 0:
         raise DomainError(f"nmax must be nonnegative, got {nmax}")
     if q == -1:
         raise DomainError("q = -1 makes 1 + q**n vanish for odd n")
-    values = _CACHE.get(q, (Fraction(1),))
-    if len(values) <= nmax:
-        vals = list(values)
-        for n in range(len(vals), nmax + 1):
-            acc = sum(binomial_coeff(n, l) * q**l * vals[l] for l in range(n))
-            vals.append(-acc / (1 + q**n))
-        values = tuple(vals)
-        _CACHE[q] = values
-    return EulerTable(q=q, values=values[: nmax + 1])
+    prefix = _CACHE.get(q) or _Prefix((Fraction(1),), 1, (1,))
+    if len(prefix.values) <= nmax:
+        a, b = q.numerator, q.denominator
+        values, den, nums = list(prefix.values), prefix.den, list(prefix.nums)
+        apow = [a**l for l in range(nmax + 1)]
+        bpow = [b**l for l in range(nmax + 1)]
+        for n in range(len(values), nmax + 1):
+            s = -sum(
+                math.comb(n, l) * apow[l] * bpow[n - l] * e for l, e in enumerate(nums)
+            )
+            c = apow[n] + bpow[n]
+            g = math.gcd(s, c)
+            s, m = s // g, c // g
+            if m < 0:
+                s, m = -s, -m
+            if m != 1:
+                nums = [e * m for e in nums]
+                den *= m
+            nums.append(s)
+            values.append(Fraction(s, den))
+        prefix = _Prefix(tuple(values), den, tuple(nums))
+        _CACHE[q] = prefix
+    return EulerTable(q=q, values=prefix.values[: nmax + 1])
 
 
 def euler_number(n: int, q) -> Fraction:
@@ -264,6 +297,9 @@ def fermionic_sum(n: int, q, p: int, level: int) -> Fraction:
     |q|_p <= 1 the valuation v_p(S_N - E_n) grows without bound in N, and
     the verifier measures that growth.  Outside that regime the limit does
     not exist, so the preconditions are enforced.
+
+    All p**level terms are added one by one, as integer numerators over a
+    shared denominator, and a single Fraction is built from the total.
     """
     q = to_rational(q)
     if n < 0:
@@ -274,17 +310,17 @@ def fermionic_sum(n: int, q, p: int, level: int) -> Fraction:
         raise DomainError(f"level must be >= 1, got {level}")
     if padic_valuation(q, p) < 0 or padic_valuation(q - 1, p) < 1:
         raise DomainError("need |q|_p <= 1 and |1-q|_p < 1 for p-adic convergence")
-    total = Fraction(0)
-    sign = 1
+    terms = p**level
     if q == 1:
-        for x in range(p**level):
-            total += sign * Fraction(x) ** n
-            sign = -sign
-    else:
-        inv = 1 / (1 - q)
-        qx = Fraction(1)  # q**x
-        for x in range(p**level):
-            total += sign * ((1 - qx) * inv) ** n
-            sign = -sign
-            qx *= q
-    return total
+        return Fraction(sum((-1) ** x * x**n for x in range(terms)))
+    # Every term over one denominator: with q = a/b and N = p**level,
+    # [x]_q = (b**N - a**x b**(N-x)) / (b**(N-1) (b-a)) for 0 <= x < N.
+    a, b = q.numerator, q.denominator
+    top = b**terms
+    scaled = top  # a**x b**(N-x)
+    total = 0
+    for x in range(terms):
+        term = (top - scaled) ** n
+        total += -term if x & 1 else term
+        scaled = scaled // b * a
+    return Fraction(total, (b ** (terms - 1) * (b - a)) ** n)

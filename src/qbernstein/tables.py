@@ -13,7 +13,7 @@ import json
 
 from .bernstein import basis_upoly
 from .euler import euler_table
-from .kernel import format_rational, to_rational
+from .kernel import DomainError, format_rational, to_rational
 from .qcore import stirling2
 from .stirling import q_stirling2
 
@@ -60,7 +60,7 @@ def _bernstein_rows(params):
     k = int(params["k"])
     n = int(params["n"])
     if k < 0 or n < 0:
-        raise ValueError("k and n must be nonnegative")
+        raise DomainError("k and n must be nonnegative")
     poly = basis_upoly((k, n))
     return ["power", "coeff"], [
         (i, format_rational(poly.coeff(i))) for i in range(n + 1)
@@ -70,7 +70,7 @@ def _bernstein_rows(params):
 def _stirling_rows(params):
     nmax = int(params["nmax"])
     if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
+        raise DomainError("nmax must be nonnegative")
     q = params.get("q")
     rows = []
     if q is None:

@@ -5,6 +5,13 @@ The indeterminate is written ``u`` and stands for the q-number [x]_q.  Since
 become coefficient-wise statements about these objects, valid for every q at
 once; checking them here needs no floating point and no choice of sample
 points.
+
+Representation: integer numerators over one shared positive denominator,
+kept in lowest terms (the gcd of the denominator and every numerator is 1)
+with no trailing zero numerators.  That canonical form is unique per value,
+so equality and hashing are structural.  Arithmetic runs on the integers and
+normalises once per result; the ``Fraction`` coefficients are built only when
+asked for.
 """
 
 from __future__ import annotations
@@ -17,6 +24,18 @@ from .kernel import to_rational
 __all__ = ["UPoly", "U"]
 
 
+def _convolve(a, b) -> list[int]:
+    """Integer coefficient product of two nonempty numerator sequences."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(a)
+    for j, y in enumerate(b):
+        if y:
+            out[j : j + width] = [o + x * y for o, x in zip(out[j : j + width], a)]
+    return out
+
+
 class UPoly:
     """Immutable dense polynomial; ``coeffs[i]`` is the coefficient of u**i.
 
@@ -26,42 +45,63 @@ class UPoly:
     constant polynomials in mixed expressions.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs=()):
         cs = [to_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs)) if cs else 1
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        # The one normalisation: trim, then divide out the common gcd.
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        else:
+            if den < 0:
+                num, den = [-c for c in num], -den
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = [c // g for c in num], den // g
+        self._num = tuple(num)
+        self._den = den
+        self._coeffs = None
+
+    @classmethod
+    def _make(cls, num: list[int], den: int = 1) -> "UPoly":
+        poly = object.__new__(cls)
+        poly._set(num, den)
+        return poly
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self._den) for c in self._num)
         return self._coeffs
 
     @property
     def degree(self) -> int | float:
-        return len(self._coeffs) - 1 if self._coeffs else -math.inf
+        return len(self._num) - 1 if self._num else -math.inf
 
     @classmethod
     def zero(cls) -> "UPoly":
-        return cls()
+        return cls._make([])
 
     @classmethod
     def one(cls) -> "UPoly":
-        return cls((1,))
+        return cls._make([1])
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "UPoly":
         if power < 0:
             raise ValueError("power must be nonnegative")
         c = to_rational(coeff)
-        if c == 0:
-            return cls()
-        return cls((0,) * power + (c,))
+        return cls._make([0] * power + [c.numerator], c.denominator)
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self._num):
+            return Fraction(self._num[i], self._den)
         return Fraction(0)
 
     @staticmethod
@@ -69,38 +109,42 @@ class UPoly:
         if isinstance(other, UPoly):
             return other
         try:
-            return UPoly((to_rational(other),))
+            c = to_rational(other)
         except TypeError:
             return None
+        return UPoly._make([c.numerator], c.denominator)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         o = UPoly._as_poly(other)
         if o is None:
             return NotImplemented
-        return self._coeffs == o._coeffs
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __add__(self, other) -> "UPoly":
         o = UPoly._as_poly(other)
         if o is None:
             return NotImplemented
-        a, b = self._coeffs, o._coeffs
+        a, da, b, db = self._num, self._den, o._num, o._den
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g  # scale each side to the lcm da * db / g
+        den = da * sa
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UPoly(out)
+            a, sa, b, sb = b, sb, a, sa
+        out = [x * sa for x in a]
+        for i, y in enumerate(b):
+            out[i] += y * sb
+        return UPoly._make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UPoly":
-        return UPoly(tuple(-c for c in self._coeffs))
+        return UPoly._make([-c for c in self._num], self._den)
 
     def __sub__(self, other) -> "UPoly":
         o = UPoly._as_poly(other)
@@ -116,26 +160,22 @@ class UPoly:
 
     def __mul__(self, other) -> "UPoly":
         if isinstance(other, UPoly):
-            if not self._coeffs or not other._coeffs:
-                return UPoly()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return UPoly(out)
+            if not self._num or not other._num:
+                return UPoly.zero()
+            return UPoly._make(_convolve(self._num, other._num), self._den * other._den)
         try:
             c = to_rational(other)
         except TypeError:
             return NotImplemented
-        return UPoly(tuple(c * a for a in self._coeffs))
+        return UPoly._make([c.numerator * a for a in self._num], c.denominator * self._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "UPoly":
         c = to_rational(scalar)
-        return UPoly(tuple(a / c for a in self._coeffs))
+        if c == 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        return UPoly._make([c.denominator * a for a in self._num], c.numerator * self._den)
 
     def __pow__(self, n: int) -> "UPoly":
         if n < 0:
@@ -154,30 +194,41 @@ class UPoly:
         for float arguments."""
         if isinstance(value, float):
             acc = 0.0
-            for c in reversed(self._coeffs):
-                acc = acc * value + float(c)
+            for c in reversed(self._num):
+                acc = acc * value + c / self._den
             return acc
         v = to_rational(value)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * v + c
-        return acc
+        if not self._num:
+            return Fraction(0)
+        # With v = r/s and degree d: s**d p(v) = sum c_i r**i s**(d-i).
+        r, s = v.numerator, v.denominator
+        acc, spow = self._num[-1], 1
+        for c in reversed(self._num[:-1]):
+            spow *= s
+            acc = acc * r + c * spow
+        return Fraction(acc, self._den * spow)
 
     def compose(self, inner: "UPoly") -> "UPoly":
         """The polynomial self(inner(u)), exactly."""
-        acc = UPoly.zero()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + UPoly((c,))
-        return acc
+        if not self._num:
+            return UPoly.zero()
+        # Integer Horner with inner = B / e: e**d self(inner) = sum c_i B**i e**(d-i).
+        b, e = inner._num, inner._den
+        acc, epow = [self._num[-1]], 1
+        for c in reversed(self._num[:-1]):
+            epow *= e
+            acc = _convolve(acc, b) if b else [0]
+            acc[0] += c * epow
+        return UPoly._make(acc, self._den * epow)
 
     def __repr__(self) -> str:
-        return f"UPoly([{', '.join(str(c) for c in self._coeffs)}])"
+        return f"UPoly([{', '.join(str(c) for c in self.coeffs)}])"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if i == 0:

@@ -56,6 +56,7 @@ DEFAULT_QS = (
     Fraction(3),
 )
 SUITES = ("bernstein", "euler", "integrals", "stirling")
+NMAX_CAP = 32
 
 _RNG_SEED = 20211  # fixed so reports are byte-identical across runs
 
@@ -76,8 +77,8 @@ class VerifyConfig:
             raise DomainError(f"unknown suite: {self.suite!r}")
         if not self.qs:
             raise DomainError("the q sample set must be nonempty")
-        if not 0 <= self.nmax <= 16:
-            raise DomainError("nmax must lie in 0..16")
+        if not 0 <= self.nmax <= NMAX_CAP:
+            raise DomainError(f"nmax must lie in 0..{NMAX_CAP}")
         if not 1 <= self.smax <= 3:
             raise DomainError("smax must lie in 1..3")
         if self.kmax < 0:

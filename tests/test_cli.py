@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from qbernstein.cli import main
+import qbernstein.cli
+import qbernstein.tables
+from qbernstein.cli import EULER_NMAX_LIMIT, main
+from qbernstein.verify import VerifyConfig
 
 
 def run_cli(*args, **kwargs):
@@ -37,6 +40,33 @@ class TestEulerCommand:
         proc = run_cli("euler", "--q", "0.5", "--nmax", "3")
         assert proc.returncode == 2
 
+    def test_deep_table_prints_in_full(self):
+        # E_150 at q = 5/7 runs past the interpreter's 4300-digit int-to-str limit
+        proc = run_cli("euler", "--q", "5/7", "--nmax", "150")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 152
+        assert max(len(line) for line in lines) > 4300
+
+    def test_nmax_guard_trips_before_any_work(self, monkeypatch, capsys):
+        def no_table(q, nmax):
+            raise AssertionError("the E-table was built")
+
+        monkeypatch.setattr(qbernstein.tables, "euler_table", no_table)
+        assert main(["euler", "--q", "1/2", "--nmax", str(EULER_NMAX_LIMIT + 1)]) == 2
+        assert "work limit" in capsys.readouterr().err
+
+    def test_huge_literal_keeps_the_digit_limit(self):
+        proc = run_cli("euler", "--q", "7" * 5000, "--nmax", "1")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_digit_limit_restored_after_main(self, capsys):
+        before = sys.get_int_max_str_digits()
+        assert main(["euler", "--q", "1/2", "--nmax", "2"]) == 0
+        assert sys.get_int_max_str_digits() == before
+
 
 class TestBernsteinCommand:
     def test_eval_exact(self):
@@ -63,6 +93,12 @@ class TestBernsteinCommand:
         proc = run_cli("bernstein", "eval", "--k", "1", "--n", "2", "--x", "0.2", "--q", "-0.5")
         assert proc.returncode == 3
 
+    def test_upoly_negative_k_is_domain_error(self):
+        proc = run_cli("bernstein", "upoly", "--k", "-1", "--n", "3")
+        assert proc.returncode == 3
+        assert "domain error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_upoly_csv(self):
         proc = run_cli("bernstein", "upoly", "--k", "1", "--n", "2")
         assert proc.returncode == 0
@@ -87,6 +123,13 @@ class TestOperatorCommand:
         assert proc.returncode == 0
         for line in proc.stdout.splitlines()[1:]:
             assert float(line.split(",")[1]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_huge_sample_literal_keeps_the_digit_limit(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("0,1\n1," + "7" * 5000 + "\n")
+        proc = run_cli("operator", "--samples", str(path), "--q", "0.7")
+        assert proc.returncode == 2
+        assert "malformed samples row 2" in proc.stderr
 
     def test_samples_with_gap_rejected(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -118,6 +161,29 @@ class TestPadicCommand:
         assert proc.returncode == 0
         assert proc.stdout == "level,sum,valuation\n1,4,1\n2,17476,2\n"
 
+    def test_deep_level_prints_in_full(self):
+        proc = run_cli("padic", "--q", "4", "--n", "4", "--levels", "7")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 8
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n", "6", "--levels", "9"],
+            ["--n", "1", "--levels", "1000000000"],
+            ["--n", str(EULER_NMAX_LIMIT + 1), "--levels", "1"],
+        ],
+    )
+    def test_work_guard_trips_before_any_work(self, args, monkeypatch, capsys):
+        def no_work(*a):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(qbernstein.cli, "fermionic_sum", no_work)
+        monkeypatch.setattr(qbernstein.cli, "euler_number", no_work)
+        assert main(["padic", "--p", "3", "--q", "4", *args]) == 2
+        assert "work limit" in capsys.readouterr().err
+
     def test_exact_agreement_prints_inf(self):
         proc = run_cli("padic", "--p", "3", "--q", "4", "--n", "0", "--levels", "1")
         assert proc.returncode == 0
@@ -144,10 +210,28 @@ class TestVerifyCommand:
         assert run_cli("verify", "--q", "").returncode == 2
 
     def test_out_of_bounds_nmax(self):
-        assert run_cli("verify", "--nmax", "20").returncode == 2
+        assert run_cli("verify", "--nmax", "33").returncode == 2
 
     def test_pole_q_is_domain_error(self):
         assert run_cli("verify", "--suite", "euler", "--q", "1").returncode == 3
+
+    @pytest.mark.parametrize("q", ["0", "1", "-1"])
+    def test_poles_rejected_before_any_suite(self, q, monkeypatch, capsys):
+        def no_suite(cfg):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(qbernstein.cli, "run_verify_suite", no_suite)
+        assert main(["verify", "--q", "1/2", "--q", q]) == 3
+        err = capsys.readouterr().err
+        assert f"q = {q} " in err
+        assert "Traceback" not in err
+
+    def test_nmax_cap_is_32(self):
+        assert VerifyConfig(nmax=32).nmax == 32
+
+    def test_raised_nmax_run_passes(self, capsys):
+        assert main(["verify", "--suite", "bernstein", "--q", "1/2", "--nmax", "20"]) == 0
+        assert "result: PASS" in capsys.readouterr().out
 
     def test_json_report(self, tmp_path):
         out = tmp_path / "report.json"

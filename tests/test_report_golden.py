@@ -1,0 +1,37 @@
+"""Byte-identity of the `qb verify` JSON report.
+
+The digests were taken from reports written by the Fraction-based kernels,
+before the integer E-table, UPoly and truncated-sum kernels replaced them.
+Any change to the report's bytes, deliberate or not, fails here; a
+deliberate one must update the digest and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from qbernstein.cli import main
+
+GOLDEN = {
+    "all": (
+        ["--suite", "all"],
+        "e5aad3457c5cbef6c1de2c5200ef16b6a72768e835d737d143da2d79a9f16bc7",
+    ),
+    "all-with-counterexamples": (
+        ["--suite", "all", "--include-printed-counterexamples"],
+        "986acf76c1fb750889e635ee4ffa79e36fcb91dbb0a10afdfcd38053f0cfc4eb",
+    ),
+    "bernstein-nmax16": (
+        ["--suite", "bernstein", "--nmax", "16"],
+        "55596e56269e54a55e689375c3512bcf1107eb8f14a51cb4ac17d4543515bb89",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_match_golden_digest(name, tmp_path, capsys):
+    argv, digest = GOLDEN[name]
+    out = tmp_path / "report.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

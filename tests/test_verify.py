@@ -57,7 +57,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         VerifyConfig(qs=())
     with pytest.raises(DomainError):
-        VerifyConfig(nmax=17)
+        VerifyConfig(nmax=33)
     with pytest.raises(DomainError):
         VerifyConfig(smax=0)
     with pytest.raises(DomainError):
