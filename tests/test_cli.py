@@ -8,7 +8,6 @@ import pytest
 import qbernstein.cli
 import qbernstein.tables
 from qbernstein.cli import EULER_NMAX_LIMIT, main
-from qbernstein.verify import VerifyConfig
 
 
 def run_cli(*args, **kwargs):
@@ -225,9 +224,6 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert f"q = {q} " in err
         assert "Traceback" not in err
-
-    def test_nmax_cap_is_32(self):
-        assert VerifyConfig(nmax=32).nmax == 32
 
     def test_raised_nmax_run_passes(self, capsys):
         assert main(["verify", "--suite", "bernstein", "--q", "1/2", "--nmax", "20"]) == 0

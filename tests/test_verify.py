@@ -56,6 +56,7 @@ def test_single_suite_selection():
 def test_config_validation():
     with pytest.raises(DomainError):
         VerifyConfig(qs=())
+    assert VerifyConfig(nmax=32).nmax == 32
     with pytest.raises(DomainError):
         VerifyConfig(nmax=33)
     with pytest.raises(DomainError):
