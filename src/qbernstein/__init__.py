@@ -42,16 +42,13 @@ from .integrals import (
 )
 from .kernel import (
     DomainError,
-    ExactRational,
     binomial_coeff,
     format_rational,
-    int_pow,
     padic_valuation,
     parse_rational,
     to_rational,
 )
 from .qcore import (
-    QContext,
     forward_differences,
     forward_differences_binomial,
     gaussian_binomial,
@@ -73,10 +70,8 @@ __all__ = [
     "DEFAULT_QS",
     "DomainError",
     "EulerTable",
-    "ExactRational",
     "IdentityReport",
     "IntegralInstance",
-    "QContext",
     "U",
     "UPoly",
     "VerifyConfig",
@@ -102,7 +97,6 @@ __all__ = [
     "forward_differences_binomial",
     "gaussian_binomial",
     "generating_coeffs",
-    "int_pow",
     "integral_basis",
     "integral_basis_reflected",
     "integral_power_product",

@@ -34,6 +34,12 @@ __all__ = ["main"]
 # 3 + 9 + ... + 3**8 = 9840 sixth powers, about 6 s.
 EULER_NMAX_LIMIT = 300
 PADIC_WORK_LIMIT = 60_000  # (p + p**2 + ... + p**levels) * max(n, 1)
+# `qb operator` evaluates n + 1 basis members per grid point, about 2 us
+# each at n = 3 and 32 us at n = 1000 on the same host, so the largest
+# admissible run takes about 10 s.  Past degree 1000 the binomial
+# coefficients no longer fit in a float.
+OPERATOR_NMAX_LIMIT = 1000  # bounds --n and the exponent M of --f t^M
+OPERATOR_WORK_LIMIT = 300_000  # grid points * (n + 1)
 
 
 class _UsageError(Exception):
@@ -47,7 +53,7 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _grid(text: str) -> list[float]:
+def _grid(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must look like start:end:step")
@@ -55,17 +61,9 @@ def _grid(text: str) -> list[float]:
         start, end, step = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed grid: {text!r}") from exc
-    if step <= 0 or end < start:
+    if not (step > 0 and end >= start):  # also refuses nan
         raise argparse.ArgumentTypeError("grid needs step > 0 and end >= start")
-    xs = []
-    i = 0
-    while True:
-        x = start + i * step
-        if x > end + 1e-12:
-            break
-        xs.append(round(x, 12))
-        i += 1
-    return xs
+    return start, end, step
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -206,7 +204,11 @@ def _cmd_bernstein_eval(args) -> int:
         return 0
     if args.x is None or args.q is None:
         raise _UsageError("the float path needs both --x and --q")
-    print(repr(basis_eval_real((args.k, args.n), args.x, args.q)))
+    try:
+        value = basis_eval_real((args.k, args.n), args.x, args.q)
+    except OverflowError as exc:
+        raise DomainError(f"float overflow at x = {args.x}, q = {args.q}") from exc
+    print(repr(value))
     return 0
 
 
@@ -260,16 +262,33 @@ def _cmd_operator(args) -> int:
             raise _UsageError("--f needs --n (the operator degree)")
         if args.n < 0:
             raise _UsageError("--n must be nonnegative")
-        samples = monomial_samples(_parse_monomial_spec(args.f), args.n)
+        m, n = _parse_monomial_spec(args.f), args.n
     else:
-        samples = args.samples
-        if args.n is not None and args.n != len(samples) - 1:
-            raise _UsageError(
-                f"--n {args.n} contradicts the samples file (n = {len(samples) - 1})"
-            )
-    grid = args.grid if isinstance(args.grid, list) else _grid(args.grid)
-    values = [float(s) for s in samples]
-    rows = [(x, operator_eval_real(values, x, args.q)) for x in grid]
+        m, n = 0, len(args.samples) - 1
+        if args.n is not None and args.n != n:
+            raise _UsageError(f"--n {args.n} contradicts the samples file (n = {n})")
+    if max(m, n) > OPERATOR_NMAX_LIMIT:
+        raise _UsageError(
+            f"degree {n} or exponent {m} exceeds the work limit {OPERATOR_NMAX_LIMIT}"
+        )
+    start, end, step = args.grid
+    points = (end + 1e-12 - start) / step + 1  # inf or nan for an unbounded grid
+    if not points * (n + 1) <= OPERATOR_WORK_LIMIT:
+        raise _UsageError(
+            f"--grid {start}:{end}:{step} with n = {n} exceeds the work limit: "
+            f"the grid points times n + 1 must stay within {OPERATOR_WORK_LIMIT}"
+        )
+    samples = monomial_samples(m, n) if args.f is not None else args.samples
+    grid = [
+        round(start + i * step, 12)
+        for i in range(int(points) + 1)
+        if start + i * step <= end + 1e-12
+    ]
+    try:
+        values = [float(s) for s in samples]
+        rows = [(x, operator_eval_real(values, x, args.q)) for x in grid]
+    except OverflowError as exc:
+        raise DomainError(f"float overflow on the grid at q = {args.q}") from exc
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

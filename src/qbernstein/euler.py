@@ -23,8 +23,7 @@ from typing import NamedTuple
 from .kernel import (
     DomainError,
     binomial_coeff,
-    is_odd_prime,
-    padic_valuation,
+    require_padic_convergence,
     to_rational,
 )
 from .qcore import q_number_int, q_number_real
@@ -304,12 +303,7 @@ def fermionic_sum(n: int, q, p: int, level: int) -> Fraction:
     q = to_rational(q)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    if not is_odd_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
-    if level < 1:
-        raise DomainError(f"level must be >= 1, got {level}")
-    if padic_valuation(q, p) < 0 or padic_valuation(q - 1, p) < 1:
-        raise DomainError("need |q|_p <= 1 and |1-q|_p < 1 for p-adic convergence")
+    require_padic_convergence(q, p, level)
     terms = p**level
     if q == 1:
         return Fraction(sum((-1) ** x * x**n for x in range(terms)))

@@ -1,17 +1,21 @@
 """Alternating-measure moments of q-Bernstein basis members and products.
 
 Every value here is an exact rational expressed through q-Euler numbers.
-The direct route expands the integrand in powers of u = [x]_q and reads off
-E-moments at q; the reflected route rewrites the integrand through 1 - u and
-lands on E-values at the reciprocal parameter 1/q.  Equality of the two
-routes is a central family of identities the verifier checks.
+The basis moment, the product moment and the power-product moment are one
+formula: the moment of prod_i B_{k,n_i}**m_i, with every multiplicity 1 for
+a product and a single factor for a basis member.  That formula has two
+routes.  The direct route (``_direct``) expands the integrand in powers of
+u = [x]_q and reads off E-moments at q; the reflected route
+(``_reflected``) rewrites the integrand through 1 - u and lands on E-values
+at the reciprocal parameter 1/q.  Equality of the two routes is a central
+family of identities the verifier checks.
 
 The reflected forms that circulate in print keep the parameter q instead of
-1/q; those variants are false and are retained here (``*_printed``) solely
-so the counterexample section can demonstrate the failure.  Note that some
-instances coincide numerically under both parameters (for example the
-product with k = 1 and degrees (2, 2)), which is why the suites always
-include a separating instance such as the single factor k = 1, n = 3.
+1/q.  Each printed form is therefore the corrected reflected route called
+at the reciprocal parameter, and the counterexample section evaluates it
+that way.  Some instances coincide numerically under both parameters (for
+example the product with k = 1 and degrees (2, 2)), which is why the suites
+always include a separating instance such as the single factor k = 1, n = 3.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from .euler import euler_number, euler_table
 from .kernel import (
     DomainError,
     binomial_coeff,
-    is_odd_prime,
-    padic_valuation,
+    require_padic_convergence,
     to_rational,
 )
 from .qcore import q_number_int
@@ -36,12 +39,9 @@ __all__ = [
     "fermionic_basis_sum",
     "integral_basis",
     "integral_basis_reflected",
-    "integral_basis_reflected_printed",
     "integral_power_product",
     "integral_power_product_direct",
-    "integral_power_product_printed",
     "integral_product",
-    "integral_product_reflected_printed",
 ]
 
 
@@ -50,6 +50,37 @@ def _pole_free(q) -> Fraction:
     if q == 0 or q == 1 or q == -1:
         raise DomainError(f"q = {q} is excluded (pole of the moment forms)")
     return q
+
+
+def _direct(k: int, pairs, q: Fraction) -> Fraction:
+    """prod_i C(n_i,k)**m_i sum_j C(T-kM,j) (-1)**j E_{j+kM,q}, with
+    T = sum m_i n_i and M = sum m_i; zero when the coefficient vanishes."""
+    coeff = math.prod(binomial_coeff(n, k) ** m for n, m in pairs)
+    if coeff == 0:
+        return Fraction(0)
+    total = sum(n * m for n, m in pairs)
+    kM = k * sum(m for _, m in pairs)
+    d = total - kM  # >= 0 whenever the coefficient is nonzero
+    table = euler_table(q, total)
+    return coeff * sum(
+        (binomial_coeff(d, j) * (-1) ** j * table[j + kM] for j in range(d + 1)),
+        Fraction(0),
+    )
+
+
+def _reflected(k: int, pairs, qr: Fraction) -> Fraction:
+    """prod_i C(n_i,k)**m_i sum_j C(kM,j) (-1)**(kM-j) E_{T-j,qr}, or
+    2 + E_{T,qr} when kM = 0; needs T > kM."""
+    total = sum(n * m for n, m in pairs)
+    kM = k * sum(m for _, m in pairs)
+    if kM == 0:
+        return 2 + euler_number(total, qr)
+    coeff = math.prod(binomial_coeff(n, k) ** m for n, m in pairs)
+    table = euler_table(qr, total)
+    return coeff * sum(
+        (binomial_coeff(kM, j) * (-1) ** (kM - j) * table[total - j] for j in range(kM + 1)),
+        Fraction(0),
+    )
 
 
 @dataclass(frozen=True)
@@ -92,14 +123,7 @@ def integral_basis(k: int, n: int, q) -> Fraction:
     q = _pole_free(q)
     if k < 0 or n < 0:
         raise DomainError("indices must be nonnegative")
-    c = binomial_coeff(n, k)
-    if c == 0:
-        return Fraction(0)
-    table = euler_table(q, n)
-    return c * sum(
-        (binomial_coeff(n - k, l) * (-1) ** l * table[k + l] for l in range(n - k + 1)),
-        Fraction(0),
-    )
+    return _direct(k, ((n, 1),), q)
 
 
 def integral_basis_reflected(k: int, n: int, q) -> Fraction:
@@ -108,36 +132,16 @@ def integral_basis_reflected(k: int, n: int, q) -> Fraction:
     Lands on E-values at the reciprocal parameter: 2 + E_{n,1/q} for k = 0,
     else C(n,k) sum_j C(k,j) (-1)**(k+j) E_{n-j,1/q}.  Requires n > k so
     every exponent that meets the complement rule stays positive.  Must
-    equal ``integral_basis(k, n, q)``.
+    equal ``integral_basis(k, n, q)``.  Called at 1/q it gives the printed
+    form, false in general: the printed value at k = 1, n = 3, q = 1/2 is
+    this function at q = 2, -4/3, where the moment is 2/15.
     """
     q = _pole_free(q)
     if k < 0:
         raise DomainError("k must be nonnegative")
     if n <= k:
         raise DomainError("the reflected route needs n > k")
-    return _basis_reflected(k, n, 1 / q)
-
-
-def integral_basis_reflected_printed(k: int, n: int, q) -> Fraction:
-    """Misprinted variant of ``integral_basis_reflected`` (parameter q kept
-    in place of 1/q); false in general, e.g. at k = 1, n = 3, q = 1/2 it
-    gives -4/3 where the moment is 2/15.  Counterexample use only."""
-    q = _pole_free(q)
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    if n <= k:
-        raise DomainError("the reflected route needs n > k")
-    return _basis_reflected(k, n, q)
-
-
-def _basis_reflected(k: int, n: int, qr: Fraction) -> Fraction:
-    if k == 0:
-        return 2 + euler_number(n, qr)
-    table = euler_table(qr, n)
-    return binomial_coeff(n, k) * sum(
-        (binomial_coeff(k, j) * (-1) ** (k + j) * table[n - j] for j in range(k + 1)),
-        Fraction(0),
-    )
+    return _reflected(k, ((n, 1),), 1 / q)
 
 
 def integral_product(k: int, ns, q, method: str = "direct") -> Fraction:
@@ -148,7 +152,10 @@ def integral_product(k: int, ns, q, method: str = "direct") -> Fraction:
 
     ``reflected``: routes through 1 - u, needs N > s k, and uses the
     reciprocal parameter (2 + E_{N,1/q} for k = 0).  Equality of the two
-    methods is the product-moment identity in corrected form.
+    methods is the product-moment identity in corrected form.  The printed
+    reflected form is this method called at 1/q; it coincides with the
+    truth on some symmetric instances but separates e.g. at k = 1,
+    ns = (1, 2), q = 1/2 (4/45 versus -8/9).
     """
     q = _pole_free(q)
     degrees = tuple(int(n) for n in ns)
@@ -156,55 +163,14 @@ def integral_product(k: int, ns, q, method: str = "direct") -> Fraction:
         raise DomainError("at least one factor is required")
     if k < 0 or any(n < 0 for n in degrees):
         raise DomainError("indices must be nonnegative")
-    s = len(degrees)
-    total = sum(degrees)
+    pairs = tuple((n, 1) for n in degrees)
     if method == "direct":
-        coeff = math.prod(binomial_coeff(n, k) for n in degrees)
-        if coeff == 0:
-            return Fraction(0)
-        d = total - s * k  # >= 0 whenever the coefficient is nonzero
-        table = euler_table(q, total)
-        return coeff * sum(
-            (binomial_coeff(d, j) * (-1) ** j * table[j + s * k] for j in range(d + 1)),
-            Fraction(0),
-        )
+        return _direct(k, pairs, q)
     if method == "reflected":
-        if total <= s * k:
+        if sum(degrees) <= len(degrees) * k:
             raise DomainError("the reflected route needs sum(ns) > s*k")
-        return _product_reflected(k, degrees, 1 / q)
+        return _reflected(k, pairs, 1 / q)
     raise DomainError(f"unknown method: {method!r}")
-
-
-def integral_product_reflected_printed(k: int, ns, q) -> Fraction:
-    """Misprinted reflected product form (parameter q instead of 1/q).
-
-    Coincides with the truth on some symmetric instances but separates e.g.
-    at k = 1, ns = (1, 2), q = 1/2 (4/45 versus -8/9).  Counterexample use
-    only.
-    """
-    q = _pole_free(q)
-    degrees = tuple(int(n) for n in ns)
-    if not degrees:
-        raise DomainError("at least one factor is required")
-    if k < 0 or any(n < 0 for n in degrees):
-        raise DomainError("indices must be nonnegative")
-    if sum(degrees) <= len(degrees) * k:
-        raise DomainError("the reflected route needs sum(ns) > s*k")
-    return _product_reflected(k, degrees, q)
-
-
-def _product_reflected(k: int, degrees: tuple[int, ...], qr: Fraction) -> Fraction:
-    s = len(degrees)
-    total = sum(degrees)
-    if k == 0:
-        return 2 + euler_number(total, qr)
-    coeff = math.prod(binomial_coeff(n, k) for n in degrees)
-    table = euler_table(qr, total)
-    sk = s * k
-    return coeff * sum(
-        (binomial_coeff(sk, j) * (-1) ** (sk - j) * table[total - j] for j in range(sk + 1)),
-        Fraction(0),
-    )
 
 
 def integral_power_product(instance: IntegralInstance) -> Fraction:
@@ -216,51 +182,15 @@ def integral_power_product(instance: IntegralInstance) -> Fraction:
     T > kM.  Cross-checked against ``integral_power_product_direct``.
     """
     q = _pole_free(instance.q)
-    kM = instance.k * instance.multiplicity
-    if instance.total_degree <= kM:
+    if instance.total_degree <= instance.k * instance.multiplicity:
         raise DomainError("needs total degree > k * multiplicity")
-    return _power_product_reflected(instance, 1 / q)
-
-
-def integral_power_product_printed(instance: IntegralInstance) -> Fraction:
-    """Misprinted variant of ``integral_power_product`` (parameter q in
-    place of 1/q); false in general.  Counterexample use only."""
-    q = _pole_free(instance.q)
-    kM = instance.k * instance.multiplicity
-    if instance.total_degree <= kM:
-        raise DomainError("needs total degree > k * multiplicity")
-    return _power_product_reflected(instance, q)
-
-
-def _power_product_reflected(instance: IntegralInstance, qr: Fraction) -> Fraction:
-    T = instance.total_degree
-    kM = instance.k * instance.multiplicity
-    coeff = math.prod(binomial_coeff(n, instance.k) ** m for n, m in instance.degrees)
-    table = euler_table(qr, T)
-    return coeff * sum(
-        (
-            binomial_coeff(kM, j) * (-1) ** (kM - j) * (2 + table[T - j])
-            for j in range(kM + 1)
-        ),
-        Fraction(0),
-    )
+    return _reflected(instance.k, instance.degrees, 1 / q)
 
 
 def integral_power_product_direct(instance: IntegralInstance) -> Fraction:
     """Direct u-expansion of the power-product moment (oracle route):
     prod_i C(n_i,k)**m_i sum_j C(T-kM,j) (-1)**j E_{j+kM,q}."""
-    q = _pole_free(instance.q)
-    coeff = math.prod(binomial_coeff(n, instance.k) ** m for n, m in instance.degrees)
-    if coeff == 0:
-        return Fraction(0)
-    T = instance.total_degree
-    kM = instance.k * instance.multiplicity
-    d = T - kM
-    table = euler_table(q, T)
-    return coeff * sum(
-        (binomial_coeff(d, j) * (-1) ** j * table[j + kM] for j in range(d + 1)),
-        Fraction(0),
-    )
+    return _direct(instance.k, instance.degrees, _pole_free(instance.q))
 
 
 def fermionic_basis_sum(k: int, n: int, q, p: int, level: int) -> Fraction:
@@ -273,12 +203,7 @@ def fermionic_basis_sum(k: int, n: int, q, p: int, level: int) -> Fraction:
     q = to_rational(q)
     if k < 0 or n < 0:
         raise DomainError("indices must be nonnegative")
-    if not is_odd_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
-    if level < 1:
-        raise DomainError(f"level must be >= 1, got {level}")
-    if padic_valuation(q, p) < 0 or padic_valuation(q - 1, p) < 1:
-        raise DomainError("need |q|_p <= 1 and |1-q|_p < 1 for p-adic convergence")
+    require_padic_convergence(q, p, level)
     total = Fraction(0)
     sign = 1
     for x in range(p**level):

@@ -13,19 +13,14 @@ from fractions import Fraction
 
 __all__ = [
     "DomainError",
-    "ExactRational",
     "binomial_coeff",
     "format_rational",
-    "int_pow",
     "is_odd_prime",
     "padic_valuation",
     "parse_rational",
+    "require_padic_convergence",
     "to_rational",
 ]
-
-# Canonical exact-rational type: lowest terms, denominator >= 1, zero is 0/1.
-ExactRational = Fraction
-
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -101,12 +96,16 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def int_pow(r: Fraction | int | str, k: int) -> Fraction:
-    """Exact r**k for any integer k; zero with a negative k is an error."""
-    r = to_rational(r)
-    if k < 0 and r == 0:
-        raise DomainError("0 cannot be raised to a negative power")
-    return r**k
+def require_padic_convergence(q: Fraction, p: int, level: int) -> None:
+    """Preconditions of a truncated alternating sum over x < p**level: an
+    odd prime p, level >= 1, and the convergence regime |q|_p <= 1,
+    |1-q|_p < 1 in which the sums tend p-adically to their limits."""
+    if not is_odd_prime(p):
+        raise DomainError(f"p must be an odd prime, got {p}")
+    if level < 1:
+        raise DomainError(f"level must be >= 1, got {level}")
+    if padic_valuation(q, p) < 0 or padic_valuation(q - 1, p) < 1:
+        raise DomainError("need |q|_p <= 1 and |1-q|_p < 1 for p-adic convergence")
 
 
 def binomial_coeff(n: int, k: int) -> int:

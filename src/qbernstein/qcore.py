@@ -9,15 +9,12 @@ convention 0**0 = 1 is used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import DomainError, binomial_coeff, to_rational
 from .upoly import UPoly
 
 __all__ = [
-    "QContext",
-    "exact_q",
     "forward_differences",
     "forward_differences_binomial",
     "gaussian_binomial",
@@ -29,57 +26,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QContext:
-    """Fixes q for one evaluation mode.
-
-    Exact mode carries a rational q, float mode a positive real q != 1.
-    Exactly one of the two fields is populated.  Pole exclusions such as
-    q = 1, q = -1 or q = 0 depend on the operation and are enforced by the
-    operations themselves.
-    """
-
-    mode: str
-    q_exact: Fraction | None = None
-    q_real: float | None = None
-
-    def __post_init__(self):
-        if self.mode == "exact":
-            if self.q_exact is None or self.q_real is not None:
-                raise DomainError("exact context must populate q_exact only")
-        elif self.mode == "float":
-            if self.q_real is None or self.q_exact is not None:
-                raise DomainError("float context must populate q_real only")
-            if not self.q_real > 0 or self.q_real == 1:
-                raise DomainError("float-mode q must lie in (0, 1) or (1, oo)")
-        else:
-            raise DomainError(f"unknown context mode: {self.mode!r}")
-
-    @classmethod
-    def exact(cls, q) -> "QContext":
-        return cls(mode="exact", q_exact=to_rational(q))
-
-    @classmethod
-    def real(cls, q: float) -> "QContext":
-        return cls(mode="float", q_real=float(q))
-
-
-def exact_q(ctx) -> Fraction:
-    """q from an exact-mode context; bare rationals pass straight through."""
-    if isinstance(ctx, QContext):
-        if ctx.mode != "exact":
-            raise DomainError("an exact-mode q is required here")
-        return ctx.q_exact
-    return to_rational(ctx)
-
-
 def q_number_int(x: int, q) -> Fraction:
     """[x]_q = (1 - q**x) / (1 - q) for integer x; [x]_1 = x by the limit.
 
     Negative x is supported (it appears in the reflection identities) and
     needs q != 0.
     """
-    q = exact_q(q)
+    q = to_rational(q)
     if q == 1:
         return Fraction(x)
     if x < 0 and q == 0:
@@ -102,7 +55,7 @@ def q_factorial(k: int, q) -> Fraction:
     Computed by the running recursion [i+1]_q = 1 + q [i]_q, so q = 1 needs
     no special case and yields k!.
     """
-    q = exact_q(q)
+    q = to_rational(q)
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
     out = Fraction(1)
@@ -120,7 +73,7 @@ def gaussian_binomial(k: int, j: int, q) -> Fraction:
     q = -1 the factorial ratio degenerates (even-index q-numbers vanish), so
     that value is rejected for the nontrivial index range.
     """
-    q = exact_q(q)
+    q = to_rational(q)
     if j < 0 or j > k:
         return Fraction(0)
     if j == 0 or j == k:
@@ -143,7 +96,7 @@ def qbinom_upoly(k: int, q) -> UPoly:
     q != -1 ([k]_q! vanishes for k >= 2); q = 1 is fine and reproduces the
     classical binomial polynomial.
     """
-    q = exact_q(q)
+    q = to_rational(q)
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
     if q == 0:

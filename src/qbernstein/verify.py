@@ -210,6 +210,12 @@ def _brute_basis_upoly(k: int, n: int) -> UPoly:
     return binomial_coeff(n, k) * UPoly.monomial(k) * UPoly((1, -1)) ** (n - k)
 
 
+def _monomial_via_basis(j: int, n: int) -> UPoly:
+    """sum_k monomial_in_basis(j, n)[k] B_{k,n}, which must equal u**j."""
+    weights = qb.monomial_in_basis(j, n)
+    return sum((weights[k] * qb.basis_upoly((k, n)) for k in range(n + 1)), UPoly.zero())
+
+
 def _classical_basis(k: int, n: int, x: float) -> float:
     if k < 0 or n < k:
         return 0.0
@@ -286,15 +292,10 @@ def _suite_bernstein(cfg: VerifyConfig, col: _Collector) -> None:
 
     for n in range(nmax + 1):
         for j in range(n + 1):
-            weights = qb.monomial_in_basis(j, n)
-            total = sum(
-                (weights[k] * qb.basis_upoly((k, n)) for k in range(n + 1)),
-                UPoly.zero(),
-            )
             col.exact(
                 "bernstein.monomial_in_basis",
                 {"j": j, "n": n},
-                total,
+                _monomial_via_basis(j, n),
                 UPoly.monomial(j),
             )
 
@@ -678,12 +679,10 @@ def _suite_integrals(cfg: VerifyConfig, col: _Collector) -> None:
     for q in cfg.qs:
         for s in range(1, min(cfg.smax, 2) + 1):
             for degrees in combinations_with_replacement(pair_pool, s):
-                inst_t = sum(n * m for n, m in degrees)
-                inst_m = sum(m for _, m in degrees)
                 for k in range(cfg.kmax + 1):
-                    if inst_t <= k * inst_m:
-                        continue
                     inst = qi.IntegralInstance(k, degrees, q)
+                    if inst.total_degree <= k * inst.multiplicity:
+                        continue
                     col.exact(
                         "integrals.power_product_vs_direct",
                         {
@@ -726,14 +725,14 @@ def _suite_integrals(cfg: VerifyConfig, col: _Collector) -> None:
         col.exact(
             "integrals.basis_reflected_printed",
             {"k": 1, "n": 3, "q": half},
-            qi.integral_basis_reflected_printed(1, 3, half),
+            qi.integral_basis_reflected(1, 3, 1 / half),
             qi.integral_basis(1, 3, half),
             expected_fail=True,
         )
         col.exact(
             "integrals.product_reflected_printed",
             {"k": 1, "ns": "1,2", "q": half},
-            qi.integral_product_reflected_printed(1, (1, 2), half),
+            qi.integral_product(1, (1, 2), 1 / half, "reflected"),
             qi.integral_product(1, (1, 2), half, "direct"),
             expected_fail=True,
         )
@@ -748,13 +747,15 @@ def _suite_integrals(cfg: VerifyConfig, col: _Collector) -> None:
         col.exact(
             "integrals.power_product_printed",
             {"k": 1, "pairs": "(1,1);(2,1)", "q": half},
-            qi.integral_power_product_printed(inst),
+            qi.integral_power_product(qi.IntegralInstance(1, inst.degrees, 1 / half)),
             qi.integral_power_product_direct(inst),
             expected_fail=True,
         )
 
 
 def _suite_stirling(cfg: VerifyConfig, col: _Collector) -> None:
+    # built once: the bridge's basis side does not depend on q
+    bridge = {(j, n): _monomial_via_basis(j, n) for n in range(9) for j in range(n + 1)}
     for q in cfg.qs:
         for k in range(1, 13):
             for j in range(k + 1):
@@ -778,19 +779,13 @@ def _suite_stirling(cfg: VerifyConfig, col: _Collector) -> None:
             qst.q_stirling2(3, 2, q),
             2 + q,
         )
-        for n in range(9):
-            for j in range(n + 1):
-                weights = qb.monomial_in_basis(j, n)
-                total = sum(
-                    (weights[k] * qb.basis_upoly((k, n)) for k in range(n + 1)),
-                    UPoly.zero(),
-                )
-                col.exact(
-                    "stirling.basis_expansion_bridge",
-                    {"j": j, "n": n, "q": q},
-                    total,
-                    qst.qstirling_expansion_upoly(j, q),
-                )
+        for (j, n), total in bridge.items():
+            col.exact(
+                "stirling.basis_expansion_bridge",
+                {"j": j, "n": n, "q": q},
+                total,
+                qst.qstirling_expansion_upoly(j, q),
+            )
 
     for n in range(11):
         for k in range(n + 1):

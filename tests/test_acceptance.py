@@ -26,7 +26,7 @@ from qbernstein.bernstein import (
     operator_apply,
 )
 from qbernstein.euler import complement_moment, euler_closed, euler_number, euler_table, fermionic_sum
-from qbernstein.integrals import integral_basis, integral_basis_reflected, integral_basis_reflected_printed, integral_product
+from qbernstein.integrals import integral_basis, integral_basis_reflected, integral_product
 from qbernstein.kernel import binomial_coeff, padic_valuation
 from qbernstein.qcore import stirling2
 from qbernstein.stirling import q_stirling2, qstirling_expansion_upoly
@@ -147,7 +147,7 @@ def test_c06_product_moments_corrected():
     # separating instance for the misprinted parameter
     assert integral_basis_reflected(1, 3, HALF) == Fraction(2, 15)
     assert integral_basis(1, 3, HALF) == Fraction(2, 15)
-    assert integral_basis_reflected_printed(1, 3, HALF) == Fraction(-4, 3)
+    assert integral_basis_reflected(1, 3, 1 / HALF) == Fraction(-4, 3)  # printed: q for 1/q
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"product-moment suite took {elapsed:.2f}s"
     _done("criterion 06: product moments direct = reflected; -16/255 anchor; 2/15 vs -4/3")

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qbernstein.cli
 import qbernstein.tables
-from qbernstein.cli import EULER_NMAX_LIMIT, main
+from qbernstein.cli import EULER_NMAX_LIMIT, OPERATOR_NMAX_LIMIT, OPERATOR_WORK_LIMIT, main
 
 
 def run_cli(*args, **kwargs):
@@ -88,6 +91,12 @@ class TestBernsteinCommand:
         proc = run_cli("bernstein", "eval", "--k", "1", "--n", "2", "--x", "0.2")
         assert proc.returncode == 2
 
+    def test_eval_float_overflow_is_domain_error(self):
+        proc = run_cli("bernstein", "eval", "--k", "1", "--n", "2", "--x", "2000", "--q", "2")
+        assert proc.returncode == 3
+        assert "domain error: float overflow" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_eval_negative_q_is_domain_error(self):
         proc = run_cli("bernstein", "eval", "--k", "1", "--n", "2", "--x", "0.2", "--q", "-0.5")
         assert proc.returncode == 3
@@ -152,6 +161,57 @@ class TestOperatorCommand:
         )
         rows = json.loads(proc.stdout)
         assert [r["x"] for r in rows] == [0.0, 0.5, 1.0]
+
+    def test_grid_endpoint_within_rounding_is_kept(self, capsys):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        assert main(["operator", "--f", "t", "--n", "1", "--q", "0.9", "--grid", "0:0.3:0.1"]) == 0
+        xs = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert xs == ["0.0", "0.1", "0.2", "0.3"]
+
+    def test_float_overflow_is_domain_error(self):
+        proc = run_cli("operator", "--f", "t^2", "--n", "3", "--q", "2", "--grid", "0:1100:100")
+        assert proc.returncode == 3
+        assert "domain error: float overflow" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:1:nan", "0:1:0", "1:0:0.1"])
+    def test_malformed_grid_is_usage_error(self, grid):
+        with pytest.raises(SystemExit) as exc:
+            main(["operator", "--f", "t", "--n", "1", "--q", "0.9", "--grid", grid])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--f", "t^2", "--n", "3", "--grid", "0:1:1e-7"],
+            ["--f", "t^2", "--n", "3", "--grid", "0:1:1e-300"],
+            ["--f", "t^2", "--n", "3", "--grid", "0:inf:1"],
+            ["--f", "t^2", "--n", "3", "--grid=-1e308:1e308:1"],
+            ["--f", "t^2", "--n", str(OPERATOR_NMAX_LIMIT + 1), "--grid", "0:0:1"],
+            ["--f", f"t^{OPERATOR_NMAX_LIMIT + 1}", "--n", "2", "--grid", "0:0:1"],
+            ["--f", "t", "--n", str(OPERATOR_WORK_LIMIT // 2), "--grid", "0:1:1"],
+        ],
+    )
+    def test_work_guard_trips_before_any_work(self, args, monkeypatch, capsys):
+        def no_work(*a):
+            raise AssertionError("the operator ran")
+
+        monkeypatch.setattr(qbernstein.cli, "monomial_samples", no_work)
+        monkeypatch.setattr(qbernstein.cli, "operator_eval_real", no_work)
+        assert main(["operator", "--q", "0.9", *args]) == 2
+        assert "work limit" in capsys.readouterr().err
+
+    def test_work_guard_checks_the_samples_degree(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("".join(f"{k},1\n" for k in range(OPERATOR_NMAX_LIMIT + 2)))
+        monkeypatch.setattr(qbernstein.cli, "operator_eval_real", None)
+        assert main(["operator", "--samples", str(path), "--q", "0.9"]) == 2
+        assert "work limit" in capsys.readouterr().err
+
+    def test_largest_admissible_grid_runs(self, capsys):
+        # 0:1:1e-5 has 100001 points, so degree 1 stays within the limit
+        assert main(["operator", "--f", "t", "--n", "1", "--q", "0.9", "--grid", "0:1:1e-5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 100002
 
 
 class TestPadicCommand:
@@ -253,3 +313,54 @@ def test_in_process_main(capsys):
 def test_missing_subcommand_exits_2():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+_INT = st.integers(-2, 12).map(str)
+_REAL = st.sampled_from(["0", "0.37", "0.9", "1", "2", "-0.5", "1100", "2000", "nan", "inf"])
+_RATIONAL = st.sampled_from(["1/2", "2/3", "4", "7/4", "0", "1", "-1", "3/0", "0.5"])
+_GRID_END = st.sampled_from(["0", "1", "0.3", "1100", "-1", "inf", "nan"])
+_GRID_STEP = st.sampled_from(["0.25", "0.1", "100", "1e-7", "0", "-1", "nan"])
+_FORMAT = st.sampled_from(["csv", "json"])
+
+
+def _flag(name, values):
+    """Either nothing or the flag followed by a drawn value."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["euler", "eval", "upoly", "operator", "padic"]))
+    if command == "euler":
+        argv = ["euler", *draw(_flag("--q", _RATIONAL)), *draw(_flag("--nmax", _INT))]
+        return argv + draw(_flag("--format", _FORMAT))
+    if command == "eval":
+        argv = ["bernstein", "eval", "--k", draw(_INT), "--n", draw(_INT)]
+        argv += draw(_flag("--x", _REAL)) + draw(_flag("--q", _REAL))
+        return argv + draw(_flag("--u", _RATIONAL))
+    if command == "upoly":
+        return ["bernstein", "upoly", "--k", draw(_INT), "--n", draw(_INT)]
+    if command == "operator":
+        spec = draw(st.sampled_from(["t", "t^0", "t^3", "t^-1", "exp(t)"]))
+        grid = f"{draw(_GRID_END)}:{draw(_GRID_END)}:{draw(_GRID_STEP)}"
+        argv = ["operator", "--f", spec, *draw(_flag("--n", _INT)), "--q", draw(_REAL)]
+        return argv + [f"--grid={grid}"] + draw(_flag("--format", _FORMAT))
+    argv = ["padic", "--p", draw(st.sampled_from(["-3", "0", "1", "2", "3", "5", "9"]))]
+    argv += ["--q", draw(_RATIONAL), "--n", draw(st.integers(-1, 4).map(str))]
+    return argv + ["--levels", draw(st.integers(-1, 3).map(str))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+@example(["bernstein", "eval", "--k", "1", "--n", "2", "--x", "2000", "--q", "2"])
+@example(["operator", "--f", "t^2", "--n", "3", "--q", "2", "--grid", "0:1100:100"])
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()  # `qb` writes bytes too
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

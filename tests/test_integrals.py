@@ -9,12 +9,9 @@ from qbernstein.integrals import (
     fermionic_basis_sum,
     integral_basis,
     integral_basis_reflected,
-    integral_basis_reflected_printed,
     integral_power_product,
     integral_power_product_direct,
-    integral_power_product_printed,
     integral_product,
-    integral_product_reflected_printed,
 )
 from qbernstein.kernel import DomainError, padic_valuation
 
@@ -62,9 +59,11 @@ class TestReflectedBasis:
             integral_basis_reflected(2, 2, HALF)
 
     def test_printed_variant_is_false(self):
-        # the separating instance: parameter q in place of 1/q
-        assert integral_basis_reflected_printed(1, 3, HALF) == Fraction(-4, 3)
-        assert integral_basis_reflected_printed(1, 3, HALF) != integral_basis(1, 3, HALF)
+        # the separating instance: the printed form keeps q where 1/q belongs,
+        # so it is the reflected route called at the reciprocal parameter
+        printed = integral_basis_reflected(1, 3, 1 / HALF)
+        assert printed == Fraction(-4, 3)
+        assert printed != integral_basis(1, 3, HALF)
 
 
 class TestIntegralProduct:
@@ -107,9 +106,9 @@ class TestIntegralProduct:
 
     def test_printed_variant(self):
         # coincidence instance: the misprint is numerically invisible here
-        assert integral_product_reflected_printed(1, (2, 2), HALF) == Fraction(-16, 255)
+        assert integral_product(1, (2, 2), 1 / HALF, "reflected") == Fraction(-16, 255)
         # separating instance: it is visible here
-        assert integral_product_reflected_printed(1, (1, 2), HALF) == Fraction(4, 45)
+        assert integral_product(1, (1, 2), 1 / HALF, "reflected") == Fraction(4, 45)
         assert integral_product(1, (1, 2), HALF, "direct") == Fraction(-8, 9)
 
     def test_printed_k_zero_variant_is_false(self):
@@ -161,9 +160,10 @@ class TestPowerProduct:
             IntegralInstance(-1, ((2, 1),), HALF)
 
     def test_printed_variant_separates(self):
-        inst = IntegralInstance(1, ((1, 1), (2, 1)), HALF)
-        assert integral_power_product_printed(inst) != integral_power_product_direct(inst)
-        assert integral_power_product_printed(inst) == Fraction(4, 45)
+        pairs = ((1, 1), (2, 1))
+        printed = integral_power_product(IntegralInstance(1, pairs, 1 / HALF))
+        assert printed != integral_power_product_direct(IntegralInstance(1, pairs, HALF))
+        assert printed == Fraction(4, 45)
 
 
 class TestFermionicOracle:

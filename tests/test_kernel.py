@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,10 @@ from qbernstein.kernel import (
     DomainError,
     binomial_coeff,
     format_rational,
-    int_pow,
     is_odd_prime,
     padic_valuation,
     parse_rational,
+    require_padic_convergence,
     to_rational,
 )
 
@@ -80,6 +81,22 @@ def test_padic_is_multiplicative(a, b, p):
     assert padic_valuation(a * b, p) == padic_valuation(a, p) + padic_valuation(b, p)
 
 
+@pytest.mark.parametrize(
+    "q, p, level, message",
+    [
+        (Fraction(4), 9, 1, "p must be an odd prime, got 9"),
+        (Fraction(4), 3, 0, "level must be >= 1, got 0"),
+        (Fraction(1, 3), 3, 1, "need |q|_p <= 1 and |1-q|_p < 1"),
+        (Fraction(2), 3, 1, "need |q|_p <= 1 and |1-q|_p < 1"),
+    ],
+)
+def test_padic_convergence_preconditions(q, p, level, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        require_padic_convergence(q, p, level)
+    require_padic_convergence(Fraction(4), 3, 1)
+    require_padic_convergence(Fraction(1), 5, 2)
+
+
 def test_pascal_recurrence_exhaustive():
     for n in range(1, 31):
         for k in range(1, n):
@@ -94,16 +111,3 @@ def test_binomial_values_and_edges():
     assert binomial_coeff(4, 7) == 0
     with pytest.raises(DomainError):
         binomial_coeff(-1, 0)
-
-
-def test_int_pow():
-    assert int_pow(Fraction(2, 3), 3) == Fraction(8, 27)
-    assert int_pow(Fraction(1, 2), -1) == 2
-    assert int_pow(Fraction(-7, 5), 0) == 1
-    with pytest.raises(DomainError):
-        int_pow(Fraction(0), -2)
-
-
-@given(_nonzero, st.integers(-6, 6), st.integers(-6, 6))
-def test_int_pow_is_additive_in_the_exponent(r, a, b):
-    assert int_pow(r, a) * int_pow(r, b) == int_pow(r, a + b)

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from qbernstein.kernel import DomainError
 from qbernstein.qcore import (
-    QContext,
-    exact_q,
     forward_differences,
     forward_differences_binomial,
     gaussian_binomial,
@@ -19,32 +17,6 @@ from qbernstein.qcore import (
 from qbernstein.upoly import U, UPoly
 
 SAMPLE_QS = (Fraction(1, 2), Fraction(2, 3), Fraction(5, 4))
-
-
-class TestQContext:
-    def test_exact_roundtrip(self):
-        ctx = QContext.exact("2/3")
-        assert ctx.mode == "exact"
-        assert ctx.q_exact == Fraction(2, 3)
-        assert exact_q(ctx) == Fraction(2, 3)
-
-    def test_float_bounds(self):
-        assert QContext.real(0.5).q_real == 0.5
-        for bad in (1.0, 0.0, -2.0):
-            with pytest.raises(DomainError):
-                QContext.real(bad)
-
-    def test_mode_exclusivity(self):
-        with pytest.raises(DomainError):
-            QContext(mode="exact", q_exact=Fraction(1, 2), q_real=0.5)
-        with pytest.raises(DomainError):
-            QContext(mode="float", q_real=None)
-        with pytest.raises(DomainError):
-            QContext(mode="symbolic", q_exact=Fraction(1))
-
-    def test_exact_op_rejects_float_context(self):
-        with pytest.raises(DomainError):
-            q_number_int(3, QContext.real(0.5))
 
 
 class TestQNumber:

@@ -25,6 +25,12 @@ GOLDEN = {
         ["--suite", "bernstein", "--nmax", "16"],
         "55596e56269e54a55e689375c3512bcf1107eb8f14a51cb4ac17d4543515bb89",
     ),
+    # kM up to 12 in the moment kernels; taken before the direct and
+    # reflected routes were folded onto one kernel each
+    "integrals-raised-with-counterexamples": (
+        ["--suite", "integrals", "--kmax", "4", "--smax", "3", "--include-printed-counterexamples"],
+        "8f72601421cffc1874bb03a593b3dfb3f06047fe9e86659018211439c33664e3",
+    ),
 }
 
 
