@@ -44,12 +44,16 @@ class BernsteinIndex(NamedTuple):
 
 
 def basis_eval_exact(idx, u) -> Fraction:
-    """C(n,k) u**k (1-u)**(n-k); identically zero when n < k."""
+    """C(n,k) u**k (1-u)**(n-k); identically zero when n < k.
+
+    With u = s/t this is the one Fraction C(n,k) s**k (t-s)**(n-k) / t**n.
+    """
     k, n = idx
     if k < 0 or n < k:
         return Fraction(0)
     u = to_rational(u)
-    return binomial_coeff(n, k) * u**k * (1 - u) ** (n - k)
+    s, t = u.numerator, u.denominator
+    return Fraction(math.comb(n, k) * s**k * (t - s) ** (n - k), t**n)
 
 
 def basis_eval_real(idx, x: float, q: float) -> float:
@@ -74,10 +78,10 @@ def basis_upoly(idx) -> UPoly:
     k, n = idx
     if k < 0 or n < k:
         return UPoly.zero()
-    coeffs = [Fraction(0)] * (n + 1)
-    for l in range(k, n + 1):
-        coeffs[l] = Fraction((-1) ** (l - k) * binomial_coeff(n, l) * binomial_coeff(l, k))
-    return UPoly(coeffs)
+    return UPoly.from_numerators(
+        [0] * k
+        + [(-1) ** (l - k) * math.comb(n, l) * math.comb(l, k) for l in range(k, n + 1)]
+    )
 
 
 def basis_upoly_printed(idx) -> UPoly:
@@ -89,10 +93,10 @@ def basis_upoly_printed(idx) -> UPoly:
     k, n = idx
     if k < 0 or n < k:
         return UPoly.zero()
-    coeffs = [Fraction(0)] * (n + 1)
-    for l in range(k, n + 1):
-        coeffs[l] = Fraction((-1) ** (l - k) * binomial_coeff(l, k) * binomial_coeff(n, k))
-    return UPoly(coeffs)
+    return UPoly.from_numerators(
+        [0] * k
+        + [(-1) ** (l - k) * math.comb(l, k) * math.comb(n, k) for l in range(k, n + 1)]
+    )
 
 
 def decasteljau_eval(coeffs, u) -> Fraction:
@@ -160,30 +164,40 @@ def operator_apply(samples, u, method: str = "direct") -> Fraction:
     are implemented so they can cross-check each other: ``direct`` sums
     against the basis, ``monomial`` expands in powers of u with alternating
     inner sums, ``difference`` contracts the inner sums to forward
-    differences of the samples.
+    differences of the samples.  Every route runs on the integers
+    F_k = L f(k/n), with L the least common denominator of the samples, and
+    on u = s/t; its sum is L t**n times the value, and one Fraction is
+    built at the end.
     """
     vals = [to_rational(s) for s in samples]
     if not vals:
         raise DomainError("samples must be nonempty")
     n = len(vals) - 1
     u = to_rational(u)
+    if method not in OPERATOR_METHODS:
+        raise DomainError(f"unknown operator method: {method!r}")
+    lcd = math.lcm(*(f.denominator for f in vals))
+    ints = [f.numerator * (lcd // f.denominator) for f in vals]
+    s, t = u.numerator, u.denominator
+    spow = [s**k for k in range(n + 1)]
+    tpow = [t**k for k in range(n + 1)]
     if method == "direct":
-        return sum((f * basis_eval_exact((k, n), u) for k, f in enumerate(vals)), Fraction(0))
-    if method == "monomial":
-        total = Fraction(0)
-        for m in range(n + 1):
-            inner = sum(
-                (binomial_coeff(m, k) * (-1) ** (m - k) * vals[k] for k in range(m + 1)),
-                Fraction(0),
-            )
-            total += binomial_coeff(n, m) * u**m * inner
-        return total
-    if method == "difference":
-        deltas = forward_differences(vals)
-        return sum(
-            (binomial_coeff(n, k) * u**k * deltas[k] for k in range(n + 1)), Fraction(0)
+        wpow = [(t - s) ** k for k in range(n + 1)]
+        total = sum(
+            f * math.comb(n, k) * spow[k] * wpow[n - k] for k, f in enumerate(ints)
         )
-    raise DomainError(f"unknown operator method: {method!r}")
+    else:
+        if method == "monomial":
+            deltas = [
+                sum(math.comb(m, k) * (-1) ** (m - k) * ints[k] for k in range(m + 1))
+                for m in range(n + 1)
+            ]
+        else:
+            deltas = forward_differences(ints)
+        total = sum(
+            math.comb(n, m) * spow[m] * tpow[n - m] * d for m, d in enumerate(deltas)
+        )
+    return Fraction(total, lcd * tpow[n])
 
 
 def operator_eval_real(samples, x: float, q: float) -> float:

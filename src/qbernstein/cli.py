@@ -40,6 +40,11 @@ PADIC_WORK_LIMIT = 60_000  # (p + p**2 + ... + p**levels) * max(n, 1)
 # coefficients no longer fit in a float.
 OPERATOR_NMAX_LIMIT = 1000  # bounds --n and the exponent M of --f t^M
 OPERATOR_WORK_LIMIT = 300_000  # grid points * (n + 1)
+# `qb bernstein upoly` prints n + 1 coefficients of up to n bits each, so
+# its time and output grow about n**2: at n = 2000 it takes 0.3 s and prints
+# 0.9 MB, at n = 4000 1.5 s and 3.5 MB.  `qb bernstein eval` shares the
+# bound; past degree 1000 its float path overflows anyway.
+BERNSTEIN_NMAX_LIMIT = 2000  # bounds --n of `bernstein eval` and `bernstein upoly`
 
 
 class _UsageError(Exception):
@@ -194,7 +199,13 @@ def _cmd_euler(args) -> int:
     return 0
 
 
+def _check_bernstein_degree(n: int) -> None:
+    if n > BERNSTEIN_NMAX_LIMIT:
+        raise _UsageError(f"--n {n} exceeds the work limit {BERNSTEIN_NMAX_LIMIT}")
+
+
 def _cmd_bernstein_eval(args) -> int:
+    _check_bernstein_degree(args.n)
     exact = args.u is not None
     floating = args.x is not None or args.q is not None
     if exact and floating:
@@ -213,6 +224,7 @@ def _cmd_bernstein_eval(args) -> int:
 
 
 def _cmd_bernstein_upoly(args) -> int:
+    _check_bernstein_degree(args.n)
     data = emit_table("bernstein", {"k": args.k, "n": args.n}, args.format)
     sys.stdout.buffer.write(data)
     return 0

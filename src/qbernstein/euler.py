@@ -16,7 +16,7 @@ exercised by the verifier's counterexample section.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,16 +51,29 @@ class EulerTable:
     Immutable: extension returns a new, longer table.  q = -1 is impossible
     (1 + q**n vanishes for odd n); q = 1 is allowed and gives the classical
     Euler numbers.
+
+    The entries are also carried as integer numerators ``nums`` over one
+    common denominator ``den``, which the integer kernels sum directly.
+    ``euler_table`` hands over the cached prefix's pair; a table built from
+    values alone derives it from their least common denominator.
     """
 
     q: Fraction
     values: tuple[Fraction, ...]
+    den: int = field(default=0, kw_only=True, compare=False, repr=False)
+    nums: tuple[int, ...] = field(default=(), kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
         if self.q == -1:
             raise DomainError("q = -1 makes 1 + q**n vanish for odd n")
         if not self.values or self.values[0] != 1:
             raise DomainError("a table must start with E_0 = 1")
+        if not self.den:
+            den = math.lcm(*(v.denominator for v in self.values))
+            object.__setattr__(self, "den", den)
+            object.__setattr__(
+                self, "nums", tuple(v.numerator * (den // v.denominator) for v in self.values)
+            )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -75,7 +88,9 @@ class EulerTable:
     def extend(self, nmax: int) -> "EulerTable":
         """A table for the same q covering 0..nmax; self is unchanged."""
         if nmax <= self.nmax:
-            return EulerTable(self.q, self.values[: nmax + 1])
+            return EulerTable(
+                self.q, self.values[: nmax + 1], den=self.den, nums=self.nums[: nmax + 1]
+            )
         return euler_table(self.q, nmax)
 
     def check_recurrence(self) -> bool:
@@ -142,7 +157,9 @@ def euler_table(q, nmax: int) -> EulerTable:
             values.append(Fraction(s, den))
         prefix = _Prefix(tuple(values), den, tuple(nums))
         _CACHE[q] = prefix
-    return EulerTable(q=q, values=prefix.values[: nmax + 1])
+    return EulerTable(
+        q=q, values=prefix.values[: nmax + 1], den=prefix.den, nums=prefix.nums[: nmax + 1]
+    )
 
 
 def euler_number(n: int, q) -> Fraction:
@@ -179,6 +196,10 @@ def euler_poly(n: int, x: int, q) -> Fraction:
     Both the q**(l x) weights and the [x]_q powers are required: dropping
     the latter (as one printed variant does) breaks E_n(0) = E_n and the
     shift functional equation.
+
+    The sum runs on integers: with q**x = c/d, [x]_q = U/V and E_l = e_l/D
+    over the table's common denominator, it is
+    sum_l C(n,l) e_l (c V)**l (d U)**(n-l) / (D (d V)**n).
     """
     q = _reject_poles(to_rational(q))
     if n < 0:
@@ -187,13 +208,13 @@ def euler_poly(n: int, x: int, q) -> Fraction:
         raise DomainError("negative x requires q != 0")
     table = euler_table(q, n)
     ux = q_number_int(x, q)
-    return sum(
-        (
-            binomial_coeff(n, l) * q ** (l * x) * table[l] * ux ** (n - l)
-            for l in range(n + 1)
-        ),
-        Fraction(0),
+    a, b = q.numerator, q.denominator
+    c, d = (a**x, b**x) if x >= 0 else (b**-x, a**-x)
+    cv, du = c * ux.denominator, d * ux.numerator
+    total = sum(
+        math.comb(n, l) * e * cv**l * du ** (n - l) for l, e in enumerate(table.nums)
     )
+    return Fraction(total, table.den * (d * ux.denominator) ** n)
 
 
 def euler_poly_closed(n: int, x: int, q) -> Fraction:
@@ -219,6 +240,10 @@ def euler_poly_real(n: int, x: float, q: float) -> float:
         raise DomainError("the floating path needs q > 0 and q != 1")
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
+    if q > 1:
+        # The recurrence below loses all precision for q > 1; the reflection
+        # E_{n,q}(x) = (-q)**-n E_{n,1/q}(1-x) keeps it at 1/q < 1.
+        return euler_poly_real(n, 1.0 - x, 1.0 / q) / (-q) ** n
     values = [1.0]
     for m in range(1, n + 1):
         acc = sum(binomial_coeff(m, l) * q**l * values[l] for l in range(m))
@@ -283,9 +308,8 @@ def complement_moment(n: int, q) -> Fraction:
         raise DomainError("q = 0 has no reciprocal parameter for the contract")
     _reject_poles(q)
     table = euler_table(q, n)
-    return sum(
-        (binomial_coeff(n, l) * (-1) ** l * table[l] for l in range(n + 1)),
-        Fraction(0),
+    return Fraction(
+        sum(math.comb(n, l) * (-1) ** l * e for l, e in enumerate(table.nums)), table.den
     )
 
 

@@ -62,9 +62,10 @@ def _direct(k: int, pairs, q: Fraction) -> Fraction:
     kM = k * sum(m for _, m in pairs)
     d = total - kM  # >= 0 whenever the coefficient is nonzero
     table = euler_table(q, total)
-    return coeff * sum(
-        (binomial_coeff(d, j) * (-1) ** j * table[j + kM] for j in range(d + 1)),
-        Fraction(0),
+    e = table.nums
+    return Fraction(
+        coeff * sum(math.comb(d, j) * (-1) ** j * e[j + kM] for j in range(d + 1)),
+        table.den,
     )
 
 
@@ -77,9 +78,11 @@ def _reflected(k: int, pairs, qr: Fraction) -> Fraction:
         return 2 + euler_number(total, qr)
     coeff = math.prod(binomial_coeff(n, k) ** m for n, m in pairs)
     table = euler_table(qr, total)
-    return coeff * sum(
-        (binomial_coeff(kM, j) * (-1) ** (kM - j) * table[total - j] for j in range(kM + 1)),
-        Fraction(0),
+    e = table.nums
+    return Fraction(
+        coeff
+        * sum(math.comb(kM, j) * (-1) ** (kM - j) * e[total - j] for j in range(kM + 1)),
+        table.den,
     )
 
 

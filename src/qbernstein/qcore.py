@@ -30,14 +30,21 @@ def q_number_int(x: int, q) -> Fraction:
     """[x]_q = (1 - q**x) / (1 - q) for integer x; [x]_1 = x by the limit.
 
     Negative x is supported (it appears in the reflection identities) and
-    needs q != 0.
+    needs q != 0.  With q = a/b the value is built from integers as
+    (b**x - a**x) b / (b**x (b - a)), or (a**m - b**m) b / (a**m (b - a))
+    with m = -x for negative x.
     """
     q = to_rational(q)
     if q == 1:
         return Fraction(x)
     if x < 0 and q == 0:
         raise DomainError("negative x requires q != 0")
-    return (1 - q**x) / (1 - q)
+    a, b = q.numerator, q.denominator
+    if x < 0:
+        am, bm = a**-x, b**-x
+        return Fraction((am - bm) * b, am * (b - a))
+    bx = b**x
+    return Fraction((bx - a**x) * b, bx * (b - a))
 
 
 def q_number_real(x: float, q: float) -> float:
@@ -52,18 +59,19 @@ def q_number_real(x: float, q: float) -> float:
 def q_factorial(k: int, q) -> Fraction:
     """[k]_q! as the product of [i]_q for i = 1..k; the empty product is 1.
 
-    Computed by the running recursion [i+1]_q = 1 + q [i]_q, so q = 1 needs
-    no special case and yields k!.
+    With q = a/b this is prod (b**i - a**i) / prod b**(i-1) (b - a), one
+    Fraction from two integer products; q = 1 gives k!.
     """
     q = to_rational(q)
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
-    out = Fraction(1)
-    qi = Fraction(0)  # [i]_q
-    for _ in range(k):
-        qi = 1 + q * qi
-        out *= qi
-    return out
+    if q == 1:
+        return Fraction(math.factorial(k))
+    a, b = q.numerator, q.denominator
+    return Fraction(
+        math.prod(b**i - a**i for i in range(1, k + 1)),
+        b ** math.comb(k, 2) * (b - a) ** k,
+    )
 
 
 def gaussian_binomial(k: int, j: int, q) -> Fraction:
@@ -71,7 +79,10 @@ def gaussian_binomial(k: int, j: int, q) -> Fraction:
 
     Expands to a polynomial in q with nonnegative integer coefficients.  At
     q = -1 the factorial ratio degenerates (even-index q-numbers vanish), so
-    that value is rejected for the nontrivial index range.
+    that value is rejected for the nontrivial index range.  With q = a/b,
+    the homogenised polynomial b**(j(k-j)) [k choose j]_q is the integer
+    prod (b**(k-j+i) - a**(k-j+i)) // prod (b**i - a**i), i = 1..j; the
+    floor division is exact.
     """
     q = to_rational(q)
     if j < 0 or j > k:
@@ -80,11 +91,12 @@ def gaussian_binomial(k: int, j: int, q) -> Fraction:
         return Fraction(1)
     if q == -1:
         raise DomainError("q = -1 zeroes the q-factorials in the ratio")
-    num = den = Fraction(1)
-    for i in range(1, j + 1):
-        num *= q_number_int(k - j + i, q)
-        den *= q_number_int(i, q)
-    return num / den
+    if q == 1:
+        return Fraction(math.comb(k, j))
+    a, b = q.numerator, q.denominator
+    num = math.prod(b ** (k - j + i) - a ** (k - j + i) for i in range(1, j + 1))
+    den = math.prod(b**i - a**i for i in range(1, j + 1))
+    return Fraction(num // den, b ** (j * (k - j)))
 
 
 def qbinom_upoly(k: int, q) -> UPoly:
@@ -105,13 +117,18 @@ def qbinom_upoly(k: int, q) -> UPoly:
         raise DomainError("q = -1 zeroes [k]_q! for k >= 2")
     poly = UPoly.one()
     for i in range(k):
-        poly = poly * UPoly((-q_number_int(i, q), 1))
+        qi = q_number_int(i, q)  # the factor u - [i]_q, from its integer parts
+        poly = poly * UPoly.from_numerators((-qi.numerator, qi.denominator), qi.denominator)
     return poly / (q ** math.comb(k, 2) * q_factorial(k, q))
 
 
-def forward_differences(samples) -> list[Fraction]:
-    """Iterated forward differences: entry k is delta^k f(0) over f(0..n)."""
-    vals = [to_rational(s) for s in samples]
+def forward_differences(samples) -> list[Fraction | int]:
+    """Iterated forward differences: entry k is delta^k f(0) over f(0..n).
+
+    Integer samples stay integers, so integer differences come back; any
+    other exact sample is coerced to a Fraction.
+    """
+    vals = [s if type(s) is int else to_rational(s) for s in samples]
     if not vals:
         raise DomainError("samples must be nonempty")
     out = [vals[0]]

@@ -74,6 +74,13 @@ class UPoly:
         poly._set(num, den)
         return poly
 
+    @classmethod
+    def from_numerators(cls, num, den: int = 1) -> "UPoly":
+        """The polynomial sum_i num[i] u**i / den, from integers directly."""
+        if not den:
+            raise ZeroDivisionError("polynomial denominator is zero")
+        return cls._make(list(num), den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         if self._coeffs is None:

@@ -766,11 +766,12 @@ def _suite_stirling(cfg: VerifyConfig, col: _Collector) -> None:
                     gaussian_binomial(k - 1, j - 1, q)
                     + q**j * gaussian_binomial(k - 1, j, q),
                 )
-        for n in range(9):
+        expansions = [qst.qstirling_expansion_upoly(n, q) for n in range(9)]
+        for n, expansion in enumerate(expansions):
             col.exact(
                 "stirling.monomial_expansion",
                 {"n": n, "q": q},
-                qst.qstirling_expansion_upoly(n, q),
+                expansion,
                 UPoly.monomial(n),
             )
         col.exact(
@@ -784,7 +785,7 @@ def _suite_stirling(cfg: VerifyConfig, col: _Collector) -> None:
                 "stirling.basis_expansion_bridge",
                 {"j": j, "n": n, "q": q},
                 total,
-                qst.qstirling_expansion_upoly(j, q),
+                expansions[j],
             )
 
     for n in range(11):

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import qbernstein.cli
 import qbernstein.tables
-from qbernstein.cli import EULER_NMAX_LIMIT, OPERATOR_NMAX_LIMIT, OPERATOR_WORK_LIMIT, main
+from qbernstein.cli import (
+    BERNSTEIN_NMAX_LIMIT,
+    EULER_NMAX_LIMIT,
+    OPERATOR_NMAX_LIMIT,
+    OPERATOR_WORK_LIMIT,
+    main,
+)
 
 
 def run_cli(*args, **kwargs):
@@ -111,6 +118,34 @@ class TestBernsteinCommand:
         proc = run_cli("bernstein", "upoly", "--k", "1", "--n", "2")
         assert proc.returncode == 0
         assert proc.stdout == "power,coeff\n0,0\n1,2\n2,-2\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "--k", "1", "--n", str(BERNSTEIN_NMAX_LIMIT + 1), "--u", "1/3"],
+            ["eval", "--k", "1", "--n", "1000000000", "--u", "1/3"],
+            ["eval", "--k", "1", "--n", str(BERNSTEIN_NMAX_LIMIT + 1), "--x", "0.5", "--q", "0.9"],
+            ["upoly", "--k", "1", "--n", str(BERNSTEIN_NMAX_LIMIT + 1)],
+            ["upoly", "--k", "0", "--n", "1000000000", "--format", "json"],
+        ],
+    )
+    def test_degree_guard_trips_before_any_work(self, args, monkeypatch, capsys):
+        def no_work(*a):
+            raise AssertionError("a basis member was built")
+
+        monkeypatch.setattr(qbernstein.cli, "basis_eval_exact", no_work)
+        monkeypatch.setattr(qbernstein.cli, "basis_eval_real", no_work)
+        monkeypatch.setattr(qbernstein.cli, "emit_table", no_work)
+        assert main(["bernstein", *args]) == 2
+        assert "work limit" in capsys.readouterr().err
+
+    def test_largest_admissible_degree_runs(self, capsys):
+        n = str(BERNSTEIN_NMAX_LIMIT)
+        assert main(["bernstein", "eval", "--k", "1", "--n", n, "--u", "1/2"]) == 0
+        want = Fraction(BERNSTEIN_NMAX_LIMIT, 2**BERNSTEIN_NMAX_LIMIT)
+        assert capsys.readouterr().out.strip() == str(want)
+        assert main(["bernstein", "upoly", "--k", "0", "--n", n]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == BERNSTEIN_NMAX_LIMIT + 2
 
 
 class TestOperatorCommand:

@@ -143,6 +143,14 @@ class TestEulerPoly:
                 exact = float(euler_poly(n, x, Fraction(1, 2)))
                 assert euler_poly_real(n, float(x), 0.5) == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 2), Fraction(3)], ids=str)
+    def test_real_overload_holds_precision_for_every_q(self, q):
+        # for q > 1 the float recurrence alone lost every digit by n = 20
+        for n in range(21):
+            for x in range(-2, 4):
+                exact = float(euler_poly(n, x, q))
+                assert euler_poly_real(n, float(x), float(q)) == pytest.approx(exact, rel=1e-8)
+
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             euler_poly(2, 1, Fraction(1))

@@ -1,19 +1,32 @@
 """The integer kernels against plain-Fraction references.
 
-The E-table recurrence, UPoly and the truncated alternating sum run on
-integer numerators over shared denominators.  Each is checked here against
-an independent route: the closed form for the E-table, and Fraction loops
-written out in this file for UPoly and the truncated sum.
+The E-table recurrence, UPoly, the truncated alternating sum, the q-number
+layer, the q-Stirling numbers, the Euler polynomial, the moment kernels and
+the Bernstein evaluation and operator routes run on integer numerators over
+shared denominators.  Each is checked here against an independent route:
+the closed form for the E-table, and Fraction loops written out in this file
+(the formulas these kernels replaced) for everything else.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from qbernstein import euler
-from qbernstein.euler import EulerTable, euler_closed, euler_table, fermionic_sum
+from qbernstein import euler, integrals
+from qbernstein.bernstein import OPERATOR_METHODS, basis_eval_exact, basis_upoly, operator_apply
+from qbernstein.euler import (
+    EulerTable,
+    complement_moment,
+    euler_closed,
+    euler_poly,
+    euler_table,
+    fermionic_sum,
+)
+from qbernstein.kernel import DomainError
+from qbernstein.qcore import gaussian_binomial, q_factorial, q_number_int
+from qbernstein.stirling import q_stirling2
 from qbernstein.upoly import UPoly
 
 # -- E-table ------------------------------------------------------------------
@@ -183,6 +196,18 @@ def test_equal_values_give_equal_objects_and_hashes(a, b, c):
         assert (q._num, q._den) == (p._num, p._den)
 
 
+@given(st.lists(st.integers(-50, 50), max_size=7), st.integers(-30, 30).filter(bool))
+def test_from_numerators_matches_fraction_construction(num, den):
+    p = UPoly.from_numerators(num, den)
+    _assert_canonical(p)
+    assert p == UPoly([Fraction(c, den) for c in num])
+
+
+def test_from_numerators_rejects_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        UPoly.from_numerators([1], 0)
+
+
 def test_unreduced_inputs_are_normalised():
     assert UPoly([Fraction(2, 4)]) == UPoly([Fraction(1, 2)])
     assert hash(UPoly([Fraction(2, 4)])) == hash(UPoly([Fraction(1, 2)]))
@@ -222,3 +247,220 @@ def test_fermionic_sum_matches_fraction_loop(q):
 def test_fermionic_sum_other_prime():
     q = Fraction(6)
     assert fermionic_sum(3, q, 5, 2) == _ref_fermionic(3, q, 5, 2)
+
+
+# -- q-number layer and q-Stirling numbers ----------------------------------------
+
+# every sign, q > 1, and the special values 0 and 1 drawn often
+_q = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-3), Fraction(7, 4), Fraction(-2, 3)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+_q_not_minus_one = _q.filter(lambda q: q != -1)
+
+
+def _ref_q_number(x, q):
+    return Fraction(x) if q == 1 else (1 - q**x) / (1 - q)
+
+
+def _ref_q_factorial(k, q):
+    out, qi = Fraction(1), Fraction(0)
+    for _ in range(k):
+        qi = 1 + q * qi
+        out *= qi
+    return out
+
+
+def _ref_gaussian(k, j, q):
+    if j < 0 or j > k:
+        return Fraction(0)
+    if j == 0 or j == k:
+        return Fraction(1)
+    num = den = Fraction(1)
+    for i in range(1, j + 1):
+        num *= _ref_q_number(k - j + i, q)
+        den *= _ref_q_number(i, q)
+    return num / den
+
+
+def _ref_q_stirling2(n, k, q):
+    total = sum(
+        (-1) ** j * q ** math.comb(j, 2) * _ref_gaussian(k, j, q) * _ref_q_number(k - j, q) ** n
+        for j in range(k + 1)
+    )
+    return q ** (-math.comb(k, 2)) * total / _ref_q_factorial(k, q)
+
+
+@given(_q, st.integers(-6, 12))
+def test_q_number_matches_reference(q, x):
+    if q == 0 and x < 0:
+        with pytest.raises(DomainError):
+            q_number_int(x, q)
+    else:
+        assert q_number_int(x, q) == _ref_q_number(x, q)
+
+
+@given(_q, st.integers(0, 10))
+def test_q_factorial_matches_reference(q, k):
+    assert q_factorial(k, q) == _ref_q_factorial(k, q)
+
+
+@given(_q_not_minus_one, st.integers(0, 10), st.integers(-1, 11))
+def test_gaussian_binomial_matches_reference(q, k, j):
+    assert gaussian_binomial(k, j, q) == _ref_gaussian(k, j, q)
+
+
+@given(_q.filter(lambda q: q not in (0, -1)), st.integers(0, 7), st.integers(0, 7))
+def test_q_stirling2_matches_reference(q, n, k):
+    assert q_stirling2(n, k, q) == _ref_q_stirling2(n, k, q)
+
+
+def test_q_layer_rejections_kept():
+    with pytest.raises(DomainError):
+        q_number_int(-1, 0)
+    with pytest.raises(DomainError):
+        gaussian_binomial(4, 2, -1)
+    for q in (0, -1):
+        with pytest.raises(DomainError):
+            q_stirling2(3, 2, q)
+    assert q_factorial(3, -1) == 0  # [2]_{-1} = 0, no rejection
+    assert q_factorial(3, 0) == 1
+
+
+# -- Euler polynomial and moment kernels -------------------------------------------
+
+_q_table = _q.filter(lambda q: q not in (1, -1))
+
+
+def _ref_euler_poly(n, x, q):
+    table = euler_table(q, n)  # checked against the closed form above
+    ux = _ref_q_number(x, q)
+    return sum(
+        (math.comb(n, l) * q ** (l * x) * table[l] * ux ** (n - l) for l in range(n + 1)),
+        Fraction(0),
+    )
+
+
+@given(_q_table, st.integers(0, 10), st.integers(-3, 4))
+def test_euler_poly_matches_reference(q, n, x):
+    if q == 0 and x < 0:
+        with pytest.raises(DomainError):
+            euler_poly(n, x, q)
+    else:
+        assert euler_poly(n, x, q) == _ref_euler_poly(n, x, q)
+
+
+@given(_q_table, st.integers(0, 12))
+def test_complement_moment_matches_reference(q, n):
+    table = euler_table(q, n)
+    want = sum((math.comb(n, l) * (-1) ** l * table[l] for l in range(n + 1)), Fraction(0))
+    if q == 0:
+        with pytest.raises(DomainError):
+            complement_moment(n, q)
+    else:
+        assert complement_moment(n, q) == want
+
+
+_pairs = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), min_size=1, max_size=3)
+
+
+def _ref_direct(k, pairs, q):
+    coeff = math.prod(math.comb(n, k) ** m for n, m in pairs)
+    total = sum(n * m for n, m in pairs)
+    kM = k * sum(m for _, m in pairs)
+    if coeff == 0:
+        return Fraction(0)
+    table = euler_table(q, total)
+    return coeff * sum(
+        (math.comb(total - kM, j) * (-1) ** j * table[j + kM] for j in range(total - kM + 1)),
+        Fraction(0),
+    )
+
+
+def _ref_reflected(k, pairs, qr):
+    total = sum(n * m for n, m in pairs)
+    kM = k * sum(m for _, m in pairs)
+    table = euler_table(qr, total)
+    if kM == 0:
+        return 2 + table[total]
+    coeff = math.prod(math.comb(n, k) ** m for n, m in pairs)
+    return coeff * sum(
+        (math.comb(kM, j) * (-1) ** (kM - j) * table[total - j] for j in range(kM + 1)),
+        Fraction(0),
+    )
+
+
+@given(_q.filter(lambda q: q != -1), st.integers(0, 3), _pairs)
+def test_direct_moment_kernel_matches_reference(q, k, pairs):
+    assert integrals._direct(k, tuple(pairs), q) == _ref_direct(k, pairs, q)
+
+
+@given(_q.filter(lambda q: q != -1), st.integers(0, 3), _pairs)
+def test_reflected_moment_kernel_matches_reference(q, k, pairs):
+    # the route's domain, which every caller checks: T > kM unless kM = 0
+    assume(k == 0 or sum(n * m for n, m in pairs) > k * sum(m for _, m in pairs))
+    assert integrals._reflected(k, tuple(pairs), q) == _ref_reflected(k, pairs, q)
+
+
+@given(_q_table, st.integers(0, 3), st.integers(0, 6))
+def test_table_pair_matches_values_on_every_slice(q, short, extra):
+    # a slice of a longer cached prefix keeps that prefix's denominator
+    long = euler_table(q, short + extra)
+    for table in (euler_table(q, short), long.extend(short), EulerTable(q, long.values)):
+        assert tuple(Fraction(e, table.den) for e in table.nums) == table.values
+
+
+# -- Bernstein evaluation and operator routes ----------------------------------------
+
+_u = st.fractions(min_value=-4, max_value=4, max_denominator=11)
+_samples = st.lists(
+    st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=9)),
+    min_size=1,
+    max_size=9,
+)
+
+
+def _ref_basis(k, n, u):
+    if k < 0 or n < k:
+        return Fraction(0)
+    return math.comb(n, k) * u**k * (1 - u) ** (n - k)
+
+
+def _ref_operator(vals, u, method):
+    vals = [Fraction(v) for v in vals]
+    n = len(vals) - 1
+    if method == "direct":
+        return sum((f * _ref_basis(k, n, u) for k, f in enumerate(vals)), Fraction(0))
+    if method == "monomial":
+        deltas = [
+            sum((math.comb(m, k) * (-1) ** (m - k) * vals[k] for k in range(m + 1)), Fraction(0))
+            for m in range(n + 1)
+        ]
+    else:  # the iterated differences, written out
+        work, deltas = list(vals), []
+        while work:
+            deltas.append(work[0])
+            work = [b - a for a, b in zip(work, work[1:])]
+    return sum((math.comb(n, m) * u**m * d for m, d in enumerate(deltas)), Fraction(0))
+
+
+@given(st.integers(-1, 12), st.integers(0, 11), _u)
+def test_basis_eval_matches_reference(k, n, u):
+    assert basis_eval_exact((k, n), u) == _ref_basis(k, n, u)
+
+
+@given(st.integers(-1, 12), st.integers(0, 11))
+def test_basis_upoly_matches_reference(k, n):
+    want = UPoly(
+        [Fraction(0)] * k
+        + [Fraction((-1) ** (l - k) * math.comb(n, l) * math.comb(l, k)) for l in range(k, n + 1)]
+        if 0 <= k <= n
+        else []
+    )
+    assert basis_upoly((k, n)) == want
+
+
+@pytest.mark.parametrize("method", OPERATOR_METHODS)
+@given(vals=_samples, u=_u)
+def test_operator_routes_match_reference(method, vals, u):
+    assert operator_apply(vals, u, method) == _ref_operator(vals, u, method)

@@ -31,6 +31,18 @@ GOLDEN = {
         ["--suite", "integrals", "--kmax", "4", "--smax", "3", "--include-printed-counterexamples"],
         "8f72601421cffc1874bb03a593b3dfb3f06047fe9e86659018211439c33664e3",
     ),
+    # q values the defaults never reach (negative, and q > 1 off the sample
+    # set); taken before the q-number, q-Stirling, euler_poly, moment and
+    # operator kernels moved onto integers
+    "all-offgrid-q-with-counterexamples": (
+        [
+            "--suite", "all",
+            "--q=-2/3", "--q", "7/4", "--q=-3", "--q", "1/5",
+            "--nmax", "16", "--kmax", "3",
+            "--include-printed-counterexamples",
+        ],
+        "8a55bf6c718ceb2de1aa54dced46ea64b2dac6f0fb80fcdf63d60530f6476a2a",
+    ),
 }
 
 
