@@ -9,6 +9,7 @@ relies on.
 Usage:
     python3 scripts/padic_convergence.py
     python3 scripts/padic_convergence.py --p 3 --q 7 --nmax 3 --levels 4
+    python3 scripts/padic_convergence.py --p 3 --q 4 --nmax 1 --levels 12
 """
 
 import argparse
@@ -27,6 +28,7 @@ def main() -> int:
     parser.add_argument("--nmax", type=int, default=4)
     parser.add_argument("--levels", type=int, default=5)
     args = parser.parse_args()
+    sys.set_int_max_str_digits(0)  # deep sums run past the 4300-digit default
 
     print(f"p = {args.p}, q = {format_rational(args.q)}")
     print(f"{'n':>3} {'N':>3} {'S_N':>24} {'E_n':>12} {'v_p(gap)':>9}")

@@ -28,12 +28,18 @@ from .verify import DEFAULT_QS, SUITES, IdentityReport, VerifyConfig, run_verify
 
 __all__ = ["main"]
 
-# Work-size limits, checked before any work starts.  On a 2-core x86-64
-# host with Python 3.11, `qb euler --q 11/7 --nmax 300` takes about 14 s
-# (3 s at q = 2/3), and `qb padic --q 7/4 --n 6 --levels 8`, which adds
-# 3 + 9 + ... + 3**8 = 9840 sixth powers, about 6 s.
+# Work-size limits, checked before any work starts.  Operand sizes grow
+# with bits(q), the bit length of max(|a|, b) for q = a/b.  On a 2-core
+# x86-64 host with Python 3.11, `qb euler --q 11/7 --nmax 300` takes about
+# 14 s (3 s at q = 2/3), and the E-table cost grows about as n**4, so n is
+# also bounded by bits(q).  `qb padic` prints sums of about
+# n * p**levels * bits(q) bits, and normalising and printing them grows
+# about quadratically in that size: `qb padic --p 101 --q 1023/922 --n 11
+# --levels 2` takes about 8 s; at n = 300 the E-table dominates
+# (`--q 14/11 --n 300 --levels 5`, about 14 s).
 EULER_NMAX_LIMIT = 300
-PADIC_WORK_LIMIT = 60_000  # (p + p**2 + ... + p**levels) * max(n, 1)
+EULER_WORK_LIMIT = 1200  # n * bits(q)
+PADIC_WORK_LIMIT = 1_200_000  # (p + p**2 + ... + p**levels) * max(n, 1) * bits(q)
 # `qb operator` evaluates n + 1 basis members per grid point, about 2 us
 # each at n = 3 and 32 us at n = 1000 on the same host, so the largest
 # admissible run takes about 10 s.  Past degree 1000 the binomial
@@ -191,9 +197,20 @@ def _print_report(report: IdentityReport) -> None:
     print(f"result: {'PASS' if report.ok else 'FAIL'}")
 
 
+def _q_bits(q: Fraction) -> int:
+    return max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+
+
+def _check_euler_work(flag: str, n: int, q: Fraction) -> None:
+    if n > EULER_NMAX_LIMIT or n * _q_bits(q) > EULER_WORK_LIMIT:
+        raise _UsageError(
+            f"{flag} {n} at q = {format_rational(q)} exceeds the work limit: n must stay "
+            f"within {EULER_NMAX_LIMIT} and n times the bits of q within {EULER_WORK_LIMIT}"
+        )
+
+
 def _cmd_euler(args) -> int:
-    if args.nmax > EULER_NMAX_LIMIT:
-        raise _UsageError(f"--nmax {args.nmax} exceeds the work limit {EULER_NMAX_LIMIT}")
+    _check_euler_work("--nmax", args.nmax, args.q)
     data = emit_table("euler", {"q": args.q, "nmax": args.nmax}, args.format)
     sys.stdout.buffer.write(data)
     return 0
@@ -315,17 +332,17 @@ def _cmd_operator(args) -> int:
 def _cmd_padic(args) -> int:
     if args.levels < 1:
         raise _UsageError("--levels must be >= 1")
-    if args.n > EULER_NMAX_LIMIT:
-        raise _UsageError(f"--n {args.n} exceeds the work limit {EULER_NMAX_LIMIT}")
+    _check_euler_work("--n", args.n, args.q)
     if not is_odd_prime(args.p):
         raise DomainError(f"p must be an odd prime, got {args.p}")
     work = 0
     for level in range(1, args.levels + 1):
-        work += args.p**level * max(args.n, 1)
+        work += args.p**level * max(args.n, 1) * _q_bits(args.q)
         if work > PADIC_WORK_LIMIT:
             raise _UsageError(
                 f"--p {args.p} --n {args.n} --levels {args.levels} exceeds the work limit: "
-                f"the terms summed times max(n, 1) must stay within {PADIC_WORK_LIMIT}"
+                f"(p + ... + p**levels) * max(n, 1) * bits(q) must stay within "
+                f"{PADIC_WORK_LIMIT}"
             )
     limit = euler_number(args.n, args.q)
     buf = io.StringIO()

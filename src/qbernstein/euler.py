@@ -321,8 +321,11 @@ def fermionic_sum(n: int, q, p: int, level: int) -> Fraction:
     the verifier measures that growth.  Outside that regime the limit does
     not exist, so the preconditions are enforced.
 
-    All p**level terms are added one by one, as integer numerators over a
-    shared denominator, and a single Fraction is built from the total.
+    For q != 1 the sum takes n + 1 steps instead of p**level.  Expanding
+    (1 - q**x)**n and summing each geometric series gives, with odd
+    N = p**level, q = a/b and B = b**(N-1), S_N = b**n sum_j (-1)**j C(n,j)
+    g_j B**(n-j) / (B (b-a))**n.  Each g_j = (b**(jN) + a**(jN)) / (b**j + a**j)
+    is an integer, as x + y divides x**N + y**N for odd N; one Fraction is built.
     """
     q = to_rational(q)
     if n < 0:
@@ -331,14 +334,11 @@ def fermionic_sum(n: int, q, p: int, level: int) -> Fraction:
     terms = p**level
     if q == 1:
         return Fraction(sum((-1) ** x * x**n for x in range(terms)))
-    # Every term over one denominator: with q = a/b and N = p**level,
-    # [x]_q = (b**N - a**x b**(N-x)) / (b**(N-1) (b-a)) for 0 <= x < N.
     a, b = q.numerator, q.denominator
-    top = b**terms
-    scaled = top  # a**x b**(N-x)
-    total = 0
-    for x in range(terms):
-        term = (top - scaled) ** n
-        total += -term if x & 1 else term
-        scaled = scaled // b * a
-    return Fraction(total, (b ** (terms - 1) * (b - a)) ** n)
+    a_step, b_step, shift = a**terms, b**terms, b ** (terms - 1)
+    total, ajn, bjn = 0, 1, 1  # running a**(jN), b**(jN)
+    for j in range(n + 1):  # Horner in B = shift
+        g = (bjn + ajn) // (b**j + a**j) * math.comb(n, j)
+        total = total * shift + (-g if j & 1 else g)
+        ajn, bjn = ajn * a_step, bjn * b_step
+    return Fraction(total * b**n, (shift * (b - a)) ** n)

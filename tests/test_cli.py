@@ -66,6 +66,17 @@ class TestEulerCommand:
         assert main(["euler", "--q", "1/2", "--nmax", str(EULER_NMAX_LIMIT + 1)]) == 2
         assert "work limit" in capsys.readouterr().err
 
+    def test_nmax_guard_counts_the_bits_of_q(self, monkeypatch, capsys):
+        def no_table(q, nmax):
+            raise AssertionError("the E-table was built")
+
+        monkeypatch.setattr(qbernstein.tables, "euler_table", no_table)
+        # 61 * 20 bits exceeds EULER_WORK_LIMIT although 61 <= EULER_NMAX_LIMIT
+        assert main(["euler", "--q", "1000003/1000000", "--nmax", "61"]) == 2
+        assert "work limit" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert main(["euler", "--q", "1000003/1000000", "--nmax", "60"]) == 0
+
     def test_huge_literal_keeps_the_digit_limit(self):
         proc = run_cli("euler", "--q", "7" * 5000, "--nmax", "1")
         assert proc.returncode == 2
@@ -264,9 +275,13 @@ class TestPadicCommand:
     @pytest.mark.parametrize(
         "args",
         [
-            ["--n", "6", "--levels", "9"],
+            ["--n", "6", "--levels", "10"],
             ["--n", "1", "--levels", "1000000000"],
             ["--n", str(EULER_NMAX_LIMIT + 1), "--levels", "1"],
+            # n = 6, level 9 passes at q = 4 (3 bits), not at 20 bits
+            ["--q", "1000003/1000000", "--n", "6", "--levels", "9"],
+            # 61 * 20 bits exceeds the E-table bound
+            ["--q", "1000003/1000000", "--n", "61", "--levels", "1"],
         ],
     )
     def test_work_guard_trips_before_any_work(self, args, monkeypatch, capsys):
@@ -277,6 +292,12 @@ class TestPadicCommand:
         monkeypatch.setattr(qbernstein.cli, "euler_number", no_work)
         assert main(["padic", "--p", "3", "--q", "4", *args]) == 2
         assert "work limit" in capsys.readouterr().err
+
+    def test_level_eleven_runs(self, capsys):
+        assert main(["padic", "--p", "3", "--q", "4", "--n", "1", "--levels", "11"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(1, 12))
+        assert all(int(row.split(",")[2]) >= level for level, row in enumerate(rows, 1))
 
     def test_exact_agreement_prints_inf(self):
         proc = run_cli("padic", "--p", "3", "--q", "4", "--n", "0", "--levels", "1")

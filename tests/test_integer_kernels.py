@@ -24,7 +24,7 @@ from qbernstein.euler import (
     euler_table,
     fermionic_sum,
 )
-from qbernstein.kernel import DomainError
+from qbernstein.kernel import DomainError, padic_valuation
 from qbernstein.qcore import gaussian_binomial, q_factorial, q_number_int
 from qbernstein.stirling import q_stirling2
 from qbernstein.upoly import UPoly
@@ -247,6 +247,29 @@ def test_fermionic_sum_matches_fraction_loop(q):
 def test_fermionic_sum_other_prime():
     q = Fraction(6)
     assert fermionic_sum(3, q, 5, 2) == _ref_fermionic(3, q, 5, 2)
+
+
+@st.composite
+def _padic_case(draw):
+    """(p, q, level) inside the convergence regime |q|_p <= 1, |1-q|_p < 1:
+    q = a/b with p dividing a - b and not b, so negative q, q > 1, q < 1
+    and q = 1 all occur; p**level stays at most 243."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    b = draw(st.integers(1, 20).filter(lambda b: b % p))
+    q = Fraction(b + p * draw(st.integers(-6, 6)), b)
+    level = draw(st.integers(1, {3: 5, 5: 3, 7: 2}[p]))
+    return p, q, level
+
+
+@given(_padic_case(), st.integers(0, 8))
+def test_fermionic_sum_geometric_route_matches_fraction_loop(case, n):
+    p, q, level = case
+    assert fermionic_sum(n, q, p, level) == _ref_fermionic(n, q, p, level)
+
+
+@pytest.mark.parametrize("n, q, level", [(6, Fraction(4), 12), (1, Fraction(4, 7), 10)])
+def test_fermionic_sum_reaches_deep_levels(n, q, level):
+    assert padic_valuation(fermionic_sum(n, q, 3, level) - euler_closed(n, q), 3) >= level
 
 
 # -- q-number layer and q-Stirling numbers ----------------------------------------
