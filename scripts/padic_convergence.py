@@ -13,12 +13,42 @@ Usage:
 """
 
 import argparse
+import math
 import sys
+from fractions import Fraction
 
 sys.path.insert(0, "src")
 
 from qbernstein.euler import euler_number, fermionic_sum
 from qbernstein.kernel import format_rational, padic_valuation, parse_rational
+
+WIDTH = 24  # longer S_N values print their first WIDTH - 3 characters and "..."
+
+
+def _leading_digits(n: int, k: int) -> tuple[str, int]:
+    """The first k decimal digits of n >= 0 (all of them if it has fewer)
+    and its digit count, without converting the whole of n to decimal."""
+    # n >= 2**(b-1), so n // 10**e keeps at least k + 1 digits; the extra
+    # 1 absorbs rounding in the float estimate of log10(2**(b-1)).
+    e = max(0, int((n.bit_length() - 1) * math.log10(2)) - k - 1)
+    lead = str(n // 10**e)
+    return lead[:k], len(lead) + e
+
+
+def sum_column(s: Fraction) -> str:
+    """``format_rational(s)``, cut to WIDTH - 3 characters plus "..." when
+    it is longer than WIDTH."""
+    keep = WIDTH - 3
+    sign = "-" if s < 0 else ""
+    num, num_len = _leading_digits(abs(s.numerator), WIDTH)
+    length = len(sign) + num_len
+    text = sign + num
+    if s.denominator != 1:
+        den, den_len = _leading_digits(s.denominator, WIDTH)
+        length += 1 + den_len
+        if num_len == len(num):  # the whole numerator is in text
+            text += "/" + den
+    return text if length <= WIDTH else text[:keep] + "..."
 
 
 def main() -> int:
@@ -28,7 +58,6 @@ def main() -> int:
     parser.add_argument("--nmax", type=int, default=4)
     parser.add_argument("--levels", type=int, default=5)
     args = parser.parse_args()
-    sys.set_int_max_str_digits(0)  # deep sums run past the 4300-digit default
 
     print(f"p = {args.p}, q = {format_rational(args.q)}")
     print(f"{'n':>3} {'N':>3} {'S_N':>24} {'E_n':>12} {'v_p(gap)':>9}")
@@ -37,11 +66,8 @@ def main() -> int:
         for level in range(1, args.levels + 1):
             s = fermionic_sum(n, args.q, args.p, level)
             v = padic_valuation(s - limit, args.p)
-            s_text = format_rational(s)
-            if len(s_text) > 24:
-                s_text = s_text[:21] + "..."
             print(
-                f"{n:>3} {level:>3} {s_text:>24} {format_rational(limit):>12} "
+                f"{n:>3} {level:>3} {sum_column(s):>{WIDTH}} {format_rational(limit):>12} "
                 f"{'inf' if v == float('inf') else v:>9}"
             )
     return 0

@@ -162,7 +162,7 @@ def _cmd_verify(args) -> int:
     report = run_verify_suite(cfg)
     _print_report(report)
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        Path(args.out).write_text(report.to_json())
     return 0 if report.ok else 1
 
 

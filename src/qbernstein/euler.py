@@ -131,6 +131,19 @@ def euler_table(q, nmax: int) -> EulerTable:
     themselves are immutable.
     """
     q = to_rational(q)
+    prefix = _prefix(q, nmax)
+    return EulerTable(
+        q=q, values=prefix.values[: nmax + 1], den=prefix.den, nums=prefix.nums[: nmax + 1]
+    )
+
+
+def _prefix(q, nmax: int) -> _Prefix:
+    """The cached prefix for q, extended to cover at least E_0..E_nmax.
+
+    It may run past nmax; the integer kernels index or slice it directly
+    and build no table.
+    """
+    q = to_rational(q)
     if nmax < 0:
         raise DomainError(f"nmax must be nonnegative, got {nmax}")
     if q == -1:
@@ -157,14 +170,12 @@ def euler_table(q, nmax: int) -> EulerTable:
             values.append(Fraction(s, den))
         prefix = _Prefix(tuple(values), den, tuple(nums))
         _CACHE[q] = prefix
-    return EulerTable(
-        q=q, values=prefix.values[: nmax + 1], den=prefix.den, nums=prefix.nums[: nmax + 1]
-    )
+    return prefix
 
 
 def euler_number(n: int, q) -> Fraction:
     """E_n at the given rational q (recurrence route, cached)."""
-    return euler_table(q, n).values[n]
+    return _prefix(q, n).values[n]
 
 
 def euler_closed(n: int, q) -> Fraction:
@@ -206,15 +217,16 @@ def euler_poly(n: int, x: int, q) -> Fraction:
         raise DomainError(f"n must be nonnegative, got {n}")
     if q == 0 and x < 0:
         raise DomainError("negative x requires q != 0")
-    table = euler_table(q, n)
+    prefix = _prefix(q, n)
     ux = q_number_int(x, q)
     a, b = q.numerator, q.denominator
     c, d = (a**x, b**x) if x >= 0 else (b**-x, a**-x)
     cv, du = c * ux.denominator, d * ux.numerator
     total = sum(
-        math.comb(n, l) * e * cv**l * du ** (n - l) for l, e in enumerate(table.nums)
+        math.comb(n, l) * e * cv**l * du ** (n - l)
+        for l, e in enumerate(prefix.nums[: n + 1])
     )
-    return Fraction(total, table.den * (d * ux.denominator) ** n)
+    return Fraction(total, prefix.den * (d * ux.denominator) ** n)
 
 
 def euler_poly_closed(n: int, x: int, q) -> Fraction:
@@ -307,9 +319,10 @@ def complement_moment(n: int, q) -> Fraction:
     if q == 0:
         raise DomainError("q = 0 has no reciprocal parameter for the contract")
     _reject_poles(q)
-    table = euler_table(q, n)
+    prefix = _prefix(q, n)
     return Fraction(
-        sum(math.comb(n, l) * (-1) ** l * e for l, e in enumerate(table.nums)), table.den
+        sum(math.comb(n, l) * (-1) ** l * e for l, e in enumerate(prefix.nums[: n + 1])),
+        prefix.den,
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernstein import basis_eval_exact
-from .euler import euler_number, euler_table
+from .euler import _prefix, euler_number
 from .kernel import (
     DomainError,
     binomial_coeff,
@@ -61,11 +61,11 @@ def _direct(k: int, pairs, q: Fraction) -> Fraction:
     total = sum(n * m for n, m in pairs)
     kM = k * sum(m for _, m in pairs)
     d = total - kM  # >= 0 whenever the coefficient is nonzero
-    table = euler_table(q, total)
-    e = table.nums
+    prefix = _prefix(q, total)
+    e = prefix.nums
     return Fraction(
         coeff * sum(math.comb(d, j) * (-1) ** j * e[j + kM] for j in range(d + 1)),
-        table.den,
+        prefix.den,
     )
 
 
@@ -77,12 +77,12 @@ def _reflected(k: int, pairs, qr: Fraction) -> Fraction:
     if kM == 0:
         return 2 + euler_number(total, qr)
     coeff = math.prod(binomial_coeff(n, k) ** m for n, m in pairs)
-    table = euler_table(qr, total)
-    e = table.nums
+    prefix = _prefix(qr, total)
+    e = prefix.nums
     return Fraction(
         coeff
         * sum(math.comb(kM, j) * (-1) ** (kM - j) * e[total - j] for j in range(kM + 1)),
-        table.den,
+        prefix.den,
     )
 
 

@@ -47,7 +47,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Canonical ``a/b`` form; integral values print without the ``/1``."""
+    """Canonical ``a/b`` form; integral values print without the ``/1``.
+
+    Prints ``str(Fraction(value))``.  Ints (``bool`` included) and Fractions
+    are formatted from their numerator and denominator directly.
+    """
+    if isinstance(value, int):
+        return str(int(value))
+    if isinstance(value, Fraction):
+        den = value.denominator
+        return str(value.numerator) if den == 1 else f"{value.numerator}/{den}"
     return str(Fraction(value))
 
 

@@ -228,8 +228,20 @@ class UPoly:
             acc[0] += c * epow
         return UPoly._make(acc, self._den * epow)
 
+    def _coeff_list(self) -> str:
+        """``c0, c1, ...`` as ``str`` prints each Fraction coefficient, from
+        the integers: one gcd per coefficient and no Fraction built."""
+        den = self._den
+        if den == 1:
+            return ", ".join(map(str, self._num))
+        parts = []
+        for c in self._num:
+            g = math.gcd(c, den)
+            parts.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return ", ".join(parts)
+
     def __repr__(self) -> str:
-        return f"UPoly([{', '.join(str(c) for c in self.coeffs)}])"
+        return f"UPoly([{self._coeff_list()}])"
 
     def __str__(self) -> str:
         if not self._num:

@@ -11,6 +11,10 @@ proof.
 Known-misprinted variants of several identities are evaluated in a separate
 counterexample section where they are expected to FAIL; an unexpectedly
 passing counterexample is treated as a suite violation.
+
+The report's bytes are ``json.dumps(report.to_dict(), indent=2)`` and a
+newline.  ``IdentityReport.to_json`` writes them without the pure-Python
+encoder that ``indent`` selects.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _esc
 
 from . import bernstein as qb
 from . import integrals as qi
@@ -149,10 +154,45 @@ class IdentityReport:
             "counterexamples": [e.to_dict() for e in self.counterexamples],
         }
 
+    def to_json(self) -> str:
+        """Exactly ``json.dumps(self.to_dict(), indent=2)`` and a newline.
+
+        ``indent`` sends ``json.dumps`` through the pure-Python encoder; the
+        same text is built here from one f-string per entry, with strings
+        escaped by the encoder's own ``ensure_ascii`` routine.
+        """
+        summary = ",\n".join(f"    {_esc(k)}: {v}" for k, v in self.summary.items())
+        return (
+            f'{{\n  "summary": {{\n{summary}\n  }},\n'
+            f'  "entries": {_entries_json(self.entries)},\n'
+            f'  "counterexamples": {_entries_json(self.counterexamples)}\n}}\n'
+        )
+
+
+def _entries_json(entries: list[ReportEntry]) -> str:
+    if not entries:
+        return "[]"
+    return "[\n" + ",\n".join(map(_entry_json, entries)) + "\n  ]"
+
+
+def _entry_json(e: ReportEntry) -> str:
+    if e.params:
+        items = ",\n".join(f"        {_esc(k)}: {_esc(v)}" for k, v in e.params.items())
+        params = f"{{\n{items}\n      }}"
+    else:
+        params = "{}"
+    return (
+        f'    {{\n      "identity_id": {_esc(e.identity_id)},\n'
+        f'      "params": {params},\n'
+        f'      "lhs": {_esc(e.lhs)},\n'
+        f'      "rhs": {_esc(e.rhs)},\n'
+        f'      "verdict": {_esc(e.verdict)}\n    }}'
+    )
+
 
 def _show(value) -> str:
     if isinstance(value, UPoly):
-        return "[" + ", ".join(str(c) for c in value.coeffs) + "]"
+        return f"[{value._coeff_list()}]"
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, float):

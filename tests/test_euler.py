@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbernstein import euler
 from qbernstein.euler import (
     EulerTable,
     complement_moment,
@@ -82,8 +84,11 @@ class TestEulerTable:
         assert shorter.values == table.values[:3]
 
     def test_rejects_q_minus_one(self):
-        with pytest.raises(DomainError):
-            euler_table(Fraction(-1), 3)
+        for q in (Fraction(-1), -1, "-1"):
+            with pytest.raises(DomainError):
+                euler_table(q, 3)
+            with pytest.raises(DomainError):
+                euler_number(3, q)
         with pytest.raises(DomainError):
             EulerTable(Fraction(-1), (Fraction(1),))
 
@@ -94,6 +99,8 @@ class TestEulerTable:
     def test_rejects_negative_nmax(self):
         with pytest.raises(DomainError):
             euler_table(Fraction(1, 2), -1)
+        with pytest.raises(DomainError):
+            euler_number(-1, Fraction(1, 2))
 
 
 class TestClosedForm:
@@ -280,7 +287,17 @@ class TestFermionicSum:
         assert fermionic_sum(1, 1, 3, 3) == naive
 
 
-@settings(max_examples=30)
-@given(st.sampled_from(SAMPLE_QS), st.integers(0, 12))
-def test_number_accessor_matches_table(q, n):
-    assert euler_number(n, q) == euler_table(q, n)[n]
+@settings(max_examples=60)
+@given(
+    st.sampled_from((*SAMPLE_QS, 3, 0, 1, "2/3", "-2/5", Fraction(-7, 4))),
+    st.integers(0, 24),
+    st.one_of(st.none(), st.integers(0, 24)),
+)
+def test_number_accessor_matches_table(q, n, cached):
+    """Cold, and resuming from a cached prefix shorter or longer than n."""
+    with mock.patch.dict(euler._CACHE, clear=True):
+        want = euler_table(q, n)[n]
+    with mock.patch.dict(euler._CACHE, clear=True):
+        if cached is not None:
+            euler_table(q, cached)
+        assert euler_number(n, q) == want

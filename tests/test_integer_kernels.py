@@ -70,6 +70,21 @@ def test_resumed_table_equals_cold_build(q, monkeypatch):
     assert EulerTable(q, resumed.values).check_recurrence()
 
 
+def test_kernels_read_the_prefix_without_building_a_table(monkeypatch, cold_cache):
+    def no_table(*args, **kwargs):
+        raise AssertionError("an EulerTable was built")
+
+    monkeypatch.setattr(euler, "EulerTable", no_table)
+    with pytest.raises(AssertionError):
+        euler_table(Fraction(2, 3), 3)
+    q = Fraction(2, 3)
+    assert euler.euler_number(6, q) == euler_closed(6, q)
+    assert euler_poly(5, 2, q) == euler.euler_poly_closed(5, 2, q)
+    assert complement_moment(5, q) == 2 + euler_closed(5, 1 / q)
+    assert integrals.integral_basis(1, 3, Fraction(1, 2)) == Fraction(2, 15)
+    assert integrals.integral_basis_reflected(1, 3, Fraction(1, 2)) == Fraction(2, 15)
+
+
 # -- UPoly ----------------------------------------------------------------------
 
 _coeff = st.fractions(min_value=-40, max_value=40, max_denominator=24)

@@ -44,6 +44,18 @@ def test_format_canonical():
     assert format_rational(7) == "7"
 
 
+@given(
+    st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.fractions(),
+        st.integers().map(Fraction),  # integral Fractions
+    )
+)
+def test_format_is_str_of_fraction(value):
+    assert format_rational(value) == str(Fraction(value))
+
+
 @given(st.integers(-(10**9), 10**9), st.integers(1, 10**9))
 def test_format_parse_roundtrip(num, den):
     r = Fraction(num, den)

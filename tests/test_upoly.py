@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qbernstein.upoly import U, UPoly
+from qbernstein.verify import _show
 
 _coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 _coeff_list = st.lists(_coeff, max_size=6)
@@ -103,6 +104,20 @@ def test_float_coefficients_rejected():
 def test_float_evaluation():
     p = UPoly([1, -1])  # 1 - u
     assert p(0.25) == pytest.approx(0.75)
+
+
+_numerators = st.lists(st.integers(-60, 60), max_size=8)
+
+
+@example([], 1)  # the zero polynomial
+@example([1, 0, 3], 2)  # an interior zero
+@example([2, 1, 4], 2)  # coefficients that reduce to integers
+@given(_numerators, st.integers(1, 36))
+def test_rendering_matches_the_fraction_coefficients(num, den):
+    p = UPoly.from_numerators(num, den)
+    texts = [str(c) for c in p.coeffs]
+    assert _show(p) == "[" + ", ".join(texts) + "]"
+    assert repr(p) == f"UPoly([{', '.join(texts)}])"
 
 
 def test_repr_and_str():

@@ -1,9 +1,17 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qbernstein.kernel import DomainError
-from qbernstein.verify import DEFAULT_QS, VerifyConfig, run_verify_suite
+from qbernstein.verify import (
+    DEFAULT_QS,
+    IdentityReport,
+    ReportEntry,
+    VerifyConfig,
+    run_verify_suite,
+)
 
 FAST = VerifyConfig(suite="all", qs=(Fraction(1, 2), Fraction(5, 4)), nmax=6, smax=2, kmax=1)
 
@@ -86,3 +94,39 @@ def test_report_dict_shape():
     entry = d["entries"][0]
     assert set(entry) == {"identity_id", "params", "lhs", "rhs", "verdict"}
     assert entry["verdict"] in ("pass", "fail")
+
+
+# Quotes, backslashes, control characters, a lone surrogate and non-ASCII
+# text: everything the ensure_ascii escapes handle, beside plain text.
+_text = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800é€😀')),
+    max_size=12,
+)
+_entry = st.builds(
+    ReportEntry,
+    identity_id=_text,
+    params=st.dictionaries(_text, _text, max_size=3),
+    lhs=_text,
+    rhs=_text,
+    verdict=st.one_of(st.sampled_from(("pass", "fail")), _text),
+)
+_entries = st.lists(_entry, max_size=4)
+
+
+def _dumped(report: IdentityReport) -> str:
+    return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+@example([], [])
+@example([ReportEntry("a.b", {}, "1", "1", "pass")], [])
+@example([], [ReportEntry("a.b", {"n": "2", "q": "1/2"}, "[1/2, 0, 3]", "x", "fail")])
+@given(_entries, _entries)
+def test_writer_bytes_match_json_dumps(entries, counterexamples):
+    report = IdentityReport(entries=entries, counterexamples=counterexamples)
+    assert report.to_json() == _dumped(report)
+
+
+def test_writer_bytes_on_the_full_default_report():
+    report = run_verify_suite(VerifyConfig(include_printed_counterexamples=True))
+    assert report.counterexamples
+    assert report.to_json() == _dumped(report)
