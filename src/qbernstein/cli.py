@@ -31,25 +31,24 @@ __all__ = ["main"]
 # Work-size limits, checked before any work starts.  Operand sizes grow
 # with bits(q), the bit length of max(|a|, b) for q = a/b.  On a 2-core
 # x86-64 host with Python 3.11, `qb euler --q 11/7 --nmax 300` takes about
-# 14 s (3 s at q = 2/3), and the E-table cost grows about as n**4, so n is
+# 9-10 s (3 s at q = 2/3), and the E-table cost grows about as n**4, so n is
 # also bounded by bits(q).  `qb padic` prints sums of about
 # n * p**levels * bits(q) bits, and normalising and printing them grows
 # about quadratically in that size: `qb padic --p 101 --q 1023/922 --n 11
 # --levels 2` takes about 8 s; at n = 300 the E-table dominates
-# (`--q 14/11 --n 300 --levels 5`, about 14 s).
+# (`--q 14/11 --n 300 --levels 5`, about 10 s).
 EULER_NMAX_LIMIT = 300
 EULER_WORK_LIMIT = 1200  # n * bits(q)
 PADIC_WORK_LIMIT = 1_200_000  # (p + p**2 + ... + p**levels) * max(n, 1) * bits(q)
 # `qb operator` evaluates n + 1 basis members per grid point, about 2 us
 # each at n = 3 and 32 us at n = 1000 on the same host, so the largest
-# admissible run takes about 10 s.  Past degree 1000 the binomial
-# coefficients no longer fit in a float.
+# admissible run takes about 10 s.
 OPERATOR_NMAX_LIMIT = 1000  # bounds --n and the exponent M of --f t^M
 OPERATOR_WORK_LIMIT = 300_000  # grid points * (n + 1)
 # `qb bernstein upoly` prints n + 1 coefficients of up to n bits each, so
 # its time and output grow about n**2: at n = 2000 it takes 0.3 s and prints
 # 0.9 MB, at n = 4000 1.5 s and 3.5 MB.  `qb bernstein eval` shares the
-# bound; past degree 1000 its float path overflows anyway.
+# bound.
 BERNSTEIN_NMAX_LIMIT = 2000  # bounds --n of `bernstein eval` and `bernstein upoly`
 
 

@@ -105,12 +105,15 @@ class EulerTable:
 
 
 class _Prefix(NamedTuple):
-    """A cached E-table prefix: the values, and the same values written as
-    integer numerators over their least common denominator ``den``."""
+    """A cached E-table prefix: the values, the same values written as
+    integer numerators ``nums`` over their least common denominator ``den``,
+    and the recurrence's last Pascal antidiagonal ``diag`` over ``den``, from
+    which an extension resumes."""
 
     values: tuple[Fraction, ...]
     den: int
     nums: tuple[int, ...]
+    diag: tuple[int, ...]
 
 
 _CACHE: dict[Fraction, _Prefix] = {}
@@ -124,11 +127,13 @@ def euler_table(q, nmax: int) -> EulerTable:
 
         E_n = -sum_{l<n} C(n,l) a**l b**(n-l) e_l / (D (a**n + b**n)).
 
-    One gcd against the small factor a**n + b**n keeps D the least common
-    denominator, and each new entry is normalised once, when its Fraction
-    is built.  Prefixes per q are cached module-wide, integer state
-    included, so a longer request resumes where the cache stops; tables
-    themselves are immutable.
+    The binomial sums are walked along Pascal antidiagonals, so no entry
+    multiplies a binomial coefficient or a power of a or b into a numerator
+    (see ``_prefix``).  One gcd against the small factor a**n + b**n keeps D
+    the least common denominator, and each new entry is normalised once,
+    when its Fraction is built.  Prefixes per q are cached module-wide,
+    integer state included, so a longer request resumes where the cache
+    stops; tables themselves are immutable.
     """
     q = to_rational(q)
     prefix = _prefix(q, nmax)
@@ -142,33 +147,53 @@ def _prefix(q, nmax: int) -> _Prefix:
 
     It may run past nmax; the integer kernels index or slice it directly
     and build no table.
+
+    With T(m, r) = sum_l C(m,l) a**l b**(m-l) e_(l+r), Pascal's rule gives
+    T(m, r) = b T(m-1, r) + a T(m-1, r+1), and the recurrence says
+    T(d, 0) = -b**d e_d.  The antidiagonal A_d[m] = T(m, d-m) therefore
+    yields each entry in two passes over A_(d-1): Horner in a gives the
+    known part K = T(d, 0) - a**d e_d, so e_d = -K / (a**d + b**d); then
+    A_d[0] = e_d and A_d[m] = b m_d A_(d-1)[m-1] + a A_d[m-1], where m_d is
+    the factor by which D grew.  ``nums`` are put over the final D once per
+    extension, by suffix products of the m_d.
     """
     q = to_rational(q)
     if nmax < 0:
         raise DomainError(f"nmax must be nonnegative, got {nmax}")
     if q == -1:
         raise DomainError("q = -1 makes 1 + q**n vanish for odd n")
-    prefix = _CACHE.get(q) or _Prefix((Fraction(1),), 1, (1,))
-    if len(prefix.values) <= nmax:
+    prefix = _CACHE.get(q) or _Prefix((Fraction(1),), 1, (1,), (1,))
+    start = len(prefix.values)
+    if start <= nmax:
         a, b = q.numerator, q.denominator
-        values, den, nums = list(prefix.values), prefix.den, list(prefix.nums)
-        apow = [a**l for l in range(nmax + 1)]
-        bpow = [b**l for l in range(nmax + 1)]
-        for n in range(len(values), nmax + 1):
-            s = -sum(
-                math.comb(n, l) * apow[l] * bpow[n - l] * e for l, e in enumerate(nums)
-            )
-            c = apow[n] + bpow[n]
+        values, den, diag = list(prefix.values), prefix.den, prefix.diag
+        fresh, steps = [], []  # each new e_d over D at step d, and each m_d
+        ad, bd = a ** (start - 1), b ** (start - 1)
+        for _ in range(start, nmax + 1):
+            ad, bd = ad * a, bd * b
+            k = 0
+            for t in diag:
+                k = k * a + t
+            s, c = -b * k, ad + bd
             g = math.gcd(s, c)
             s, m = s // g, c // g
             if m < 0:
                 s, m = -s, -m
-            if m != 1:
-                nums = [e * m for e in nums]
-                den *= m
-            nums.append(s)
+            den *= m
+            bm, row, t_prev = b * m, [s], s
+            for t in diag:
+                t_prev = bm * t + a * t_prev
+                row.append(t_prev)
+            diag = row
+            fresh.append(s)
+            steps.append(m)
             values.append(Fraction(s, den))
-        prefix = _Prefix(tuple(values), den, tuple(nums))
+        scale = 1
+        for i in range(len(fresh) - 1, -1, -1):
+            fresh[i] *= scale
+            scale *= steps[i]
+        nums = [e * scale for e in prefix.nums] + fresh
+        prefix = _Prefix(tuple(values), den, tuple(nums), tuple(diag))
         _CACHE[q] = prefix
     return prefix
 

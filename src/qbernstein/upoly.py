@@ -216,17 +216,41 @@ class UPoly:
         return Fraction(acc, self._den * spow)
 
     def compose(self, inner: "UPoly") -> "UPoly":
-        """The polynomial self(inner(u)), exactly."""
-        if not self._num:
+        """The polynomial self(inner(u)), exactly.
+
+        Kronecker substitution: with inner = B / e and self of degree d, the
+        numerators of e**d self(inner) = sum c_i B**i e**(d-i) come out of one
+        integer Horner loop run at u = 2**k, read back as signed base-2**k
+        digits.  Every coefficient is at most sum |c_i| ||B||_1**i e**(d-i)
+        in size, so k is taken one bit past that bound (rounded up to whole
+        bytes).
+        """
+        c = self._num
+        if not c:
             return UPoly.zero()
-        # Integer Horner with inner = B / e: e**d self(inner) = sum c_i B**i e**(d-i).
         b, e = inner._num, inner._den
-        acc, epow = [self._num[-1]], 1
-        for c in reversed(self._num[:-1]):
+        norm, bound, epow = sum(map(abs, b)), abs(c[-1]), 1
+        for x in reversed(c[:-1]):
             epow *= e
-            acc = _convolve(acc, b) if b else [0]
-            acc[0] += c * epow
-        return UPoly._make(acc, self._den * epow)
+            bound = bound * norm + abs(x) * epow
+        width = bound.bit_length() // 8 + 1  # bytes per digit, sign bit included
+        k = 8 * width
+        beta = 0
+        for x in reversed(b):
+            beta = (beta << k) + x
+        acc, epow = c[-1], 1
+        for x in reversed(c[:-1]):
+            epow *= e
+            acc = acc * beta + x * epow
+        # Adding 2**(k-1) to every digit makes them all nonnegative.
+        size = (len(c) - 1) * (len(b) - 1) + 1 if b else 1
+        half = 1 << (k - 1)
+        bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+        raw = (acc + bias).to_bytes(size * width, "little")
+        digits = [
+            int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)
+        ]
+        return UPoly._make(digits, self._den * epow)
 
     def _coeff_list(self) -> str:
         """``c0, c1, ...`` as ``str`` prints each Fraction coefficient, from

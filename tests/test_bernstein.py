@@ -20,7 +20,7 @@ from qbernstein.bernstein import (
     operator_eval_real,
 )
 from qbernstein.kernel import DomainError, binomial_coeff
-from qbernstein.qcore import stirling2
+from qbernstein.qcore import q_number_real, stirling2
 from qbernstein.upoly import U, UPoly
 
 _small_fraction = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -76,6 +76,35 @@ class TestBasisEval:
     def test_real_rejects_nonpositive_q(self):
         with pytest.raises(DomainError):
             basis_eval_real((1, 2), 0.5, 0.0)
+
+    @pytest.mark.parametrize("k", [0, 700, 1000, 2000])
+    def test_real_past_float_binomials_matches_exact(self, k):
+        # C(2000, 700) and C(2000, 1000) exceed the float range
+        n, x, q = 2000, 0.3, 0.5
+        u = Fraction(q_number_real(x, q))
+        exact = float(binomial_coeff(n, k) * u**k * (1 - u) ** (n - k))
+        assert basis_eval_real((k, n), x, q) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("x, q", [(-0.05, 0.5), (1.05, 0.9), (0.0, 0.5), (1.0, 1.0)])
+    @pytest.mark.parametrize("k", [540, 541])
+    def test_real_past_float_binomials_signs_and_edges(self, x, q, k):
+        # u < 0, u > 1, u = 0 and u = 1 at n = 1100, where C(n, k) > 1e308
+        n = 1100
+        u = Fraction(x if q == 1 else q_number_real(x, q))
+        exact = float(binomial_coeff(n, k) * u**k * (1 - u) ** (n - k))
+        value = basis_eval_real((k, n), x, q)
+        assert value == pytest.approx(exact, rel=1e-9, abs=0.0)
+        assert math.copysign(1.0, value) == math.copysign(1.0, exact) or exact == 0.0
+
+    def test_real_keeps_the_float_binomial_product_bit_for_bit(self):
+        for n, k, x, q in ((1000, 500, 0.3, 0.5), (1029, 514, 0.41, 0.8), (7, 3, 0.37, 1.0)):
+            u = q_number_real(x, q) if q != 1 else x
+            want = binomial_coeff(n, k) * u**k * (1.0 - u) ** (n - k)
+            assert basis_eval_real((k, n), x, q) == want
+
+    def test_real_unrepresentable_value_still_overflows(self):
+        with pytest.raises(OverflowError):
+            basis_eval_real((1000, 2000), 3.0, 1.0)
 
     def test_classical_limit_grid(self):
         q = 1 - 1e-6
@@ -337,6 +366,16 @@ class TestDerivative:
 
     def test_degree_zero_is_flat(self):
         assert basis_derivative((0, 0), 0.3, 0.5) == 0.0
+
+    def test_past_float_binomials(self):
+        # n (B_{k-1,n-1} - B_{k,n-1}) times the prefactor, both past the float range
+        n, k, x, q = 2001, 700, 0.3, 0.5
+        u = Fraction(q_number_real(x, q))
+        left = binomial_coeff(n - 1, k - 1) * u ** (k - 1) * (1 - u) ** (n - k)
+        right = binomial_coeff(n - 1, k) * u**k * (1 - u) ** (n - 1 - k)
+        prefactor = math.log(q) / (q - 1.0) * q**x
+        want = n * float(left - right) * prefactor
+        assert basis_derivative((k, n), x, q) == pytest.approx(want, rel=1e-9)
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(DomainError):

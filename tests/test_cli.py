@@ -115,6 +115,12 @@ class TestBernsteinCommand:
         assert "domain error: float overflow" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_eval_past_float_binomials_runs(self):
+        # C(2000, 700) does not fit in a float, but the value does
+        proc = run_cli("bernstein", "eval", "--k", "700", "--n", "2000", "--x", "0.3", "--q", "0.5")
+        assert proc.returncode == 0
+        assert float(proc.stdout) == pytest.approx(0.0011387682321911522, rel=1e-9)
+
     def test_eval_negative_q_is_domain_error(self):
         proc = run_cli("bernstein", "eval", "--k", "1", "--n", "2", "--x", "0.2", "--q", "-0.5")
         assert proc.returncode == 3

@@ -5,14 +5,17 @@ layer, the q-Stirling numbers, the Euler polynomial, the moment kernels and
 the Bernstein evaluation and operator routes run on integer numerators over
 shared denominators.  Each is checked here against an independent route:
 the closed form for the E-table, and Fraction loops written out in this file
-(the formulas these kernels replaced) for everything else.
+(the formulas these kernels replaced) for everything else.  The E-table's
+antidiagonal walk and the Kronecker ``UPoly.compose`` are also held to the
+integer routes they replaced, kept here: the per-entry binomial sum and the
+Horner loop over coefficient lists.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qbernstein import euler, integrals
 from qbernstein.bernstein import OPERATOR_METHODS, basis_eval_exact, basis_upoly, operator_apply
@@ -70,6 +73,50 @@ def test_resumed_table_equals_cold_build(q, monkeypatch):
     assert EulerTable(q, resumed.values).check_recurrence()
 
 
+def _ref_prefix(q, nmax):
+    """The per-entry binomial sum the antidiagonal walk replaced: E-values,
+    their least common denominator and the numerators over it."""
+    a, b = q.numerator, q.denominator
+    values, den, nums = [Fraction(1)], 1, [1]
+    for n in range(1, nmax + 1):
+        s = -sum(math.comb(n, l) * a**l * b ** (n - l) * e for l, e in enumerate(nums))
+        c = a**n + b**n
+        g = math.gcd(s, c)
+        s, m = s // g, c // g
+        if m < 0:
+            s, m = -s, -m
+        if m != 1:
+            nums = [e * m for e in nums]
+            den *= m
+        nums.append(s)
+        values.append(Fraction(s, den))
+    return tuple(values), den, tuple(nums)
+
+
+_table_q = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-3), Fraction(11, 7), Fraction(-2, 5)]),
+    st.fractions(min_value=-12, max_value=12, max_denominator=13),
+).filter(lambda q: q != -1)
+
+
+@settings(deadline=None)
+@given(_table_q, st.integers(0, 40), st.data())
+def test_prefix_matches_the_per_entry_sum(q, nmax, data):
+    split = data.draw(st.integers(0, nmax), label="split")
+    want = _ref_prefix(q, nmax)
+    euler._CACHE.pop(q, None)
+    cold = euler._prefix(q, nmax)
+    euler._CACHE.pop(q, None)
+    euler._prefix(q, split)
+    resumed = euler._prefix(q, nmax)
+    for got in (cold, resumed):
+        assert (got.values, got.den, got.nums) == want
+        assert all(type(e) is int for e in got.nums)
+        assert got.den > 0 and type(got.den) is int
+    assert resumed.diag == cold.diag
+    assert len(cold.diag) == nmax + 1 and cold.diag[0] == cold.nums[-1]
+
+
 def test_kernels_read_the_prefix_without_building_a_table(monkeypatch, cold_cache):
     def no_table(*args, **kwargs):
         raise AssertionError("an EulerTable was built")
@@ -125,6 +172,27 @@ def _ref_compose(a, b):
     for c in reversed(a):
         acc = _ref_add(_ref_mul(acc, b), (c,))
     return acc
+
+
+def _ref_compose_lists(p, inner):
+    """The integer Horner loop over coefficient lists that Kronecker
+    substitution replaced, as (numerators, denominator) before normalising."""
+    if not p._num:
+        return [], 1
+    b, e = inner._num, inner._den
+    acc, epow = [p._num[-1]], 1
+    for c in reversed(p._num[:-1]):
+        epow *= e
+        if b:
+            out = [0] * (len(acc) + len(b) - 1)
+            for i, x in enumerate(acc):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            acc = out
+        else:
+            acc = [0]
+        acc[0] += c * epow
+    return acc, p._den * epow
 
 
 def _assert_canonical(p):
@@ -191,12 +259,46 @@ def test_compose_matches_reference(a, b):
     assert composed.coeffs == _ref_compose(_trim(a), _trim(b))
 
 
-@given(st.lists(_coeff, max_size=4), st.integers(0, 4))
+def _assert_compose_matches_lists(outer, inner):
+    composed = outer.compose(inner)
+    _assert_canonical(composed)
+    assert composed == UPoly.from_numerators(*_ref_compose_lists(outer, inner))
+
+
+_wide = st.integers(-(2**260), 2**260)
+
+
+@example([2**200 + 1, -(3**130)], [Fraction(-5, 3), Fraction(7, 2)])  # wide outer, den > 1
+@example([-(2**255), 7, 2**201], [Fraction(4, 9)])  # a constant inner
+@example([2**210, 3, -(5**90)], [])  # the zero inner
+@example([-(7**80)], [Fraction(-1, 2), Fraction(3)])  # a degree-0 outer
+@given(
+    st.lists(_wide, max_size=9),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), max_size=4),
+)
+def test_compose_matches_the_list_horner_on_wide_coefficients(outer, inner):
+    # outer coefficients of 200 bits and more; inner with denominators > 1
+    # and negative coefficients, and constant and zero inners drawn too
+    _assert_compose_matches_lists(UPoly(outer), UPoly(inner))
+    _assert_compose_matches_lists(UPoly(outer) / 3**70, UPoly(inner))
+
+
+def test_compose_reflects_every_degree_64_basis_member():
+    one_minus_u = 1 - UPoly.monomial(1)
+    for k in range(65):
+        member = basis_upoly((k, 64))
+        _assert_compose_matches_lists(member, one_minus_u)
+        assert member.compose(one_minus_u) == basis_upoly((64 - k, 64))
+
+
+@given(_coeffs, st.integers(0, 4))
 def test_pow_matches_reference(a, n):
     expected = (Fraction(1),)
     for _ in range(n):
         expected = _ref_mul(expected, _trim(a))
-    assert (UPoly(a) ** n).coeffs == expected
+    power = UPoly(a) ** n
+    _assert_canonical(power)
+    assert power.coeffs == expected
 
 
 @given(_coeffs, _coeffs, _scalar)
