@@ -11,6 +11,17 @@ _coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 _coeff_list = st.lists(_coeff, max_size=6)
 
 
+def _convolve(a, b):
+    # independent list-based product used as the multiplication oracle
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_trailing_zeros_trimmed():
     assert UPoly([1, 0, 0]).coeffs == (Fraction(1),)
     assert UPoly([0, 0]).coeffs == ()
@@ -32,8 +43,9 @@ def test_scalar_equality_and_hash():
     assert hash(UPoly([1, 2])) == hash(UPoly([1, 2, 0]))
 
 
-# Products, evaluation and powers are checked against Fraction references,
-# canonical form included, in test_integer_kernels.py.
+@given(_coeff_list, _coeff_list)
+def test_mul_matches_convolution_oracle(a, b):
+    assert UPoly(a) * UPoly(b) == UPoly(_convolve(a, b))
 
 
 @given(_coeff_list, _coeff_list, _coeff_list)
@@ -48,10 +60,25 @@ def test_ring_axioms(a, b, c):
     assert pa - pa == UPoly()
 
 
+@given(_coeff_list, _coeff)
+def test_evaluation_matches_naive_sum(coeffs, v):
+    p = UPoly(coeffs)
+    assert p(v) == sum(c * v**i for i, c in enumerate(coeffs))
+
+
 @given(_coeff_list, st.lists(_coeff, max_size=3), _coeff)
 def test_compose_agrees_with_pointwise(outer, inner, v):
     po, pi = UPoly(outer), UPoly(inner)
     assert po.compose(pi)(v) == po(pi(v))
+
+
+@given(_coeff_list, st.integers(0, 4))
+def test_pow_is_repeated_multiplication(coeffs, n):
+    p = UPoly(coeffs)
+    expected = UPoly.one()
+    for _ in range(n):
+        expected = expected * p
+    assert p**n == expected
 
 
 def test_scalar_arithmetic():
