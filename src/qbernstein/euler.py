@@ -16,7 +16,7 @@ exercised by the verifier's counterexample section.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,29 +51,16 @@ class EulerTable:
     Immutable: extension returns a new, longer table.  q = -1 is impossible
     (1 + q**n vanishes for odd n); q = 1 is allowed and gives the classical
     Euler numbers.
-
-    The entries are also carried as integer numerators ``nums`` over one
-    common denominator ``den``, which the integer kernels sum directly.
-    ``euler_table`` hands over the cached prefix's pair; a table built from
-    values alone derives it from their least common denominator.
     """
 
     q: Fraction
     values: tuple[Fraction, ...]
-    den: int = field(default=0, kw_only=True, compare=False, repr=False)
-    nums: tuple[int, ...] = field(default=(), kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
         if self.q == -1:
             raise DomainError("q = -1 makes 1 + q**n vanish for odd n")
         if not self.values or self.values[0] != 1:
             raise DomainError("a table must start with E_0 = 1")
-        if not self.den:
-            den = math.lcm(*(v.denominator for v in self.values))
-            object.__setattr__(self, "den", den)
-            object.__setattr__(
-                self, "nums", tuple(v.numerator * (den // v.denominator) for v in self.values)
-            )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -88,9 +75,7 @@ class EulerTable:
     def extend(self, nmax: int) -> "EulerTable":
         """A table for the same q covering 0..nmax; self is unchanged."""
         if nmax <= self.nmax:
-            return EulerTable(
-                self.q, self.values[: nmax + 1], den=self.den, nums=self.nums[: nmax + 1]
-            )
+            return EulerTable(self.q, self.values[: nmax + 1])
         return euler_table(self.q, nmax)
 
     def check_recurrence(self) -> bool:
@@ -136,10 +121,7 @@ def euler_table(q, nmax: int) -> EulerTable:
     stops; tables themselves are immutable.
     """
     q = to_rational(q)
-    prefix = _prefix(q, nmax)
-    return EulerTable(
-        q=q, values=prefix.values[: nmax + 1], den=prefix.den, nums=prefix.nums[: nmax + 1]
-    )
+    return EulerTable(q=q, values=_prefix(q, nmax).values[: nmax + 1])
 
 
 def _prefix(q, nmax: int) -> _Prefix:

@@ -347,6 +347,17 @@ class TestVerifyCommand:
         assert f"q = {q} " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [("--nmax", "0"), ("--kmax", "5")])
+    def test_bounds_rejected_before_any_suite(self, flag, value, monkeypatch, capsys):
+        def no_suite(cfg):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(qbernstein.cli, "run_verify_suite", no_suite)
+        assert main(["verify", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} must lie in" in err
+        assert "Traceback" not in err
+
     def test_raised_nmax_run_passes(self, capsys):
         assert main(["verify", "--suite", "bernstein", "--q", "1/2", "--nmax", "20"]) == 0
         assert "result: PASS" in capsys.readouterr().out

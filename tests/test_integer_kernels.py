@@ -542,14 +542,6 @@ def test_reflected_moment_kernel_matches_reference(q, k, pairs):
     assert integrals._reflected(k, tuple(pairs), q) == _ref_reflected(k, pairs, q)
 
 
-@given(_q_table, st.integers(0, 3), st.integers(0, 6))
-def test_table_pair_matches_values_on_every_slice(q, short, extra):
-    # a slice of a longer cached prefix keeps that prefix's denominator
-    long = euler_table(q, short + extra)
-    for table in (euler_table(q, short), long.extend(short), EulerTable(q, long.values)):
-        assert tuple(Fraction(e, table.den) for e in table.nums) == table.values
-
-
 # -- Bernstein evaluation and operator routes ----------------------------------------
 
 _u = st.fractions(min_value=-4, max_value=4, max_denominator=11)

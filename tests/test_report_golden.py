@@ -43,6 +43,17 @@ GOLDEN = {
         ],
         "8a55bf6c718ceb2de1aa54dced46ea64b2dac6f0fb80fcdf63d60530f6476a2a",
     ),
+    # the lowest bounds: loops that start at 1, smax = 1 products and no
+    # k > 0 moments; the other digests all run smax = 3 and nmax >= 12
+    "all-low-bounds-with-counterexamples": (
+        [
+            "--suite", "all",
+            "--q", "1/2", "--q=-7/3",
+            "--nmax", "1", "--smax", "1", "--kmax", "0",
+            "--include-printed-counterexamples",
+        ],
+        "586ba9cb61a47e98d8189f27b36bd2e7cd097988d4a40c10e3c54d2628e5258b",
+    ),
 }
 
 

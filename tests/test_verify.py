@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from qbernstein.kernel import DomainError
 from qbernstein.verify import (
     DEFAULT_QS,
+    SUITES,
     IdentityReport,
     ReportEntry,
     VerifyConfig,
@@ -55,24 +56,50 @@ def test_runs_are_deterministic():
     assert a == b
 
 
-def test_single_suite_selection():
-    report = run_verify_suite(VerifyConfig(suite="euler", qs=(Fraction(1, 2),)))
+_SELECTION = {"qs": (Fraction(1, 2),), "nmax": 6, "smax": 2, "kmax": 1}
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    return run_verify_suite(
+        VerifyConfig(suite="all", include_printed_counterexamples=True, **_SELECTION)
+    )
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_single_suite_selection(suite, full_report):
+    # a suite run holds exactly its own share of the full run, counterexamples included
+    report = run_verify_suite(
+        VerifyConfig(suite=suite, include_printed_counterexamples=True, **_SELECTION)
+    )
     assert report.ok
-    assert all(e.identity_id.startswith("euler.") for e in report.entries)
+    assert report.entries
+
+    def own(entries):
+        return [e for e in entries if e.identity_id.startswith(f"{suite}.")]
+
+    assert report.entries == own(full_report.entries)
+    assert report.counterexamples == own(full_report.counterexamples)
 
 
 def test_config_validation():
     with pytest.raises(DomainError):
         VerifyConfig(qs=())
     assert VerifyConfig(nmax=32).nmax == 32
+    assert VerifyConfig(nmax=1).nmax == 1
     with pytest.raises(DomainError):
         VerifyConfig(nmax=33)
+    with pytest.raises(DomainError):
+        VerifyConfig(nmax=0)  # the operator sample draws need n >= 1
     with pytest.raises(DomainError):
         VerifyConfig(smax=0)
     with pytest.raises(DomainError):
         VerifyConfig(smax=4)
     with pytest.raises(DomainError):
         VerifyConfig(kmax=-1)
+    assert VerifyConfig(kmax=4).kmax == 4
+    with pytest.raises(DomainError):
+        VerifyConfig(kmax=5)
     with pytest.raises(DomainError):
         VerifyConfig(suite="algebra")
 
