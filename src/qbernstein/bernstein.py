@@ -59,10 +59,11 @@ def basis_eval_exact(idx, u) -> Fraction:
 def basis_eval_real(idx, x: float, q: float) -> float:
     """Floating evaluation at u = [x]_q; q = 1 takes the classical limit u = x.
 
-    Where C(n,k) fits in a float the value is C(n,k) * u**k * (1-u)**(n-k).
-    Past that range u**k (1-u)**(n-k) underflows before C(n,k) can scale
-    it, so the product is formed through logarithms instead; a value too
-    large for a float raises OverflowError.
+    The value is the float product C(n,k) * u**k * (1-u)**(n-k) wherever
+    that product is finite.  Elsewhere (C(n,k) past the float range, or
+    u**k overflowing before (1-u)**(n-k) scales it back) it is formed
+    through logarithms instead; a value too large for a float raises
+    OverflowError.
     """
     k, n = idx
     if q <= 0:
@@ -72,16 +73,22 @@ def basis_eval_real(idx, x: float, q: float) -> float:
     u = float(x) if q == 1 else q_number_real(x, q)
     c = binomial_coeff(n, k)
     try:
-        scale = float(c)
-    except OverflowError:
-        # Here 0 < k < n, since C(n,0) = C(n,n) = 1.
-        if u == 0.0 or u == 1.0:
-            return 0.0
-        log_w = math.log1p(-u) if u < 1.0 else math.log(u - 1.0)
-        value = math.exp(math.log(c) + k * math.log(abs(u)) + (n - k) * log_w)
-        odd = k if u < 0.0 else n - k if u > 1.0 else 0  # the negative factor's power
-        return -value if odd & 1 else value
-    return scale * u**k * (1.0 - u) ** (n - k)
+        value = float(c) * u**k * (1.0 - u) ** (n - k)
+    except OverflowError:  # C(n,k) or u**k is past the float range
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    # Only C(n,k) can overflow at u = 0 or 1, and then 0 < k < n.
+    if u == 0.0 or u == 1.0:
+        return 0.0
+    log_value = math.log(c)
+    if k:
+        log_value += k * math.log(abs(u))
+    if n - k:
+        log_value += (n - k) * (math.log1p(-u) if u < 1.0 else math.log(u - 1.0))
+    value = math.exp(log_value)
+    odd = k if u < 0.0 else n - k if u > 1.0 else 0  # the negative factor's power
+    return -value if odd & 1 else value
 
 
 def basis_upoly(idx) -> UPoly:

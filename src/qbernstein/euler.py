@@ -345,7 +345,12 @@ def fermionic_sum(n: int, q, p: int, level: int) -> Fraction:
     (1 - q**x)**n and summing each geometric series gives, with odd
     N = p**level, q = a/b and B = b**(N-1), S_N = b**n sum_j (-1)**j C(n,j)
     g_j B**(n-j) / (B (b-a))**n.  Each g_j = (b**(jN) + a**(jN)) / (b**j + a**j)
-    is an integer, as x + y divides x**N + y**N for odd N; one Fraction is built.
+    is an integer, as x + y divides x**N + y**N for odd N.
+
+    The result is put in lowest terms without a gcd of the two big integers.
+    b**n cancels, leaving total / (b**((N-2)n) (b-a)**n).  The Horner total
+    is (-1)**n g_n modulo B, and g_n = a**(n(N-1)) modulo b, so the total is
+    prime to b; only the small factor (b-a)**n can share a divisor with it.
     """
     q = to_rational(q)
     if n < 0:
@@ -361,4 +366,15 @@ def fermionic_sum(n: int, q, p: int, level: int) -> Fraction:
         g = (bjn + ajn) // (b**j + a**j) * math.comb(n, j)
         total = total * shift + (-g if j & 1 else g)
         ajn, bjn = ajn * a_step, bjn * b_step
-    return Fraction(total * b**n, (shift * (b - a)) ** n)
+    small = (b - a) ** n
+    g = math.gcd(total, small)
+    num, den = total // g, small // g * b ** ((terms - 2) * n)
+    return _coprime_fraction(-num, -den) if den < 0 else _coprime_fraction(num, den)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for coprime num and den > 0, without the gcd
+    the constructor takes to reduce it."""
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
+        return Fraction._from_coprime_ints(num, den)
+    return Fraction(num, den, _normalize=False)

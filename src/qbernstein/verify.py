@@ -20,6 +20,11 @@ Known-misprinted variants of several identities are yielded by a separate
 generator into the counterexample section, where they are expected to FAIL;
 an unexpectedly passing counterexample is treated as a suite violation.
 
+``run_verify_suite`` runs the selected suites in forked workers, one per
+available CPU and at most one per suite.  The suites share nothing but
+per-process caches, every identity id begins with its suite's name, and
+the report is sorted, so the report's bytes do not depend on the CPU count.
+
 The report's bytes are ``json.dumps(report.to_dict(), indent=2)`` and a
 newline.  ``IdentityReport.to_json`` writes them without the pure-Python
 encoder that ``indent`` selects.
@@ -28,7 +33,9 @@ encoder that ``indent`` selects.
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -92,6 +99,10 @@ class VerifyConfig:
             raise DomainError(f"unknown suite: {self.suite!r}")
         if not self.qs:
             raise DomainError("the q sample set must be nonempty")
+        values = [Fraction(q) for q in self.qs]
+        for i, q in enumerate(values):
+            if q in values[:i]:
+                raise DomainError(f"q = {format_rational(q)} is repeated in the q sample set")
         if not 1 <= self.nmax <= NMAX_CAP:
             raise DomainError(f"nmax must lie in 1..{NMAX_CAP}")
         if not 1 <= self.smax <= 3:
@@ -566,15 +577,117 @@ _SUITE_FUNCS = {
 }
 
 
+def _run_group(cfg: VerifyConfig, names: tuple[str, ...]) -> tuple[list, list]:
+    """The entries and the counterexamples of the suites ``names``."""
+    entries = [_entry(check) for name in names for check in _SUITE_FUNCS[name](cfg)]
+    counterexamples = []
+    if cfg.include_printed_counterexamples:
+        counterexamples = [_entry(check) for check in _printed_counterexamples(names)]
+    return entries, counterexamples
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on; 1 where ``os.fork`` is missing, or
+    while other threads run, whose locks a forked child would inherit in
+    whatever state they hold."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fields(entries: list[ReportEntry]) -> list[tuple]:
+    return [(e.identity_id, e.params, e.lhs, e.rhs, e.verdict) for e in entries]
+
+
+def _fork_group(cfg: VerifyConfig, names: tuple[str, ...]) -> tuple[int, int]:
+    """Run the suites ``names`` in a forked child.  Returns its pid and the
+    read end of a pipe that carries the pickled ``(True, (entry fields,
+    counterexample fields))``, or ``(False, exception)`` if a suite raised."""
+    import pickle  # here, not above: every `qb` command imports this module
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    # The child always leaves through os._exit: the stdio buffers it
+    # inherited are never flushed twice, and nothing unwinds into the
+    # caller's frames.  Exit status 1 means that no result was written.
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            entries, counterexamples = _run_group(cfg, names)
+            result = (True, (_fields(entries), _fields(counterexamples)))
+        except BaseException as exc:
+            result = (False, exc)
+        payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read(read_fd: int) -> bytes:
+    """Everything written to the pipe, once its child has closed it."""
+    with os.fdopen(read_fd, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
+def _reap(pid: int, read_fd: int) -> int:
+    """Close the pipe, kill the child if it still runs, and reap it; returns
+    its wait status."""
+    import signal
+
+    os.close(read_fd)
+    os.kill(pid, signal.SIGKILL)  # no effect on a child that has exited
+    return os.waitpid(pid, 0)[1]
+
+
+def _unpack(names: tuple[str, ...], payload: bytes, status: int) -> tuple[list, list]:
+    """A child's entries and counterexamples; raises what its suites raised."""
+    import pickle
+
+    if not payload:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(
+            f"the worker for suites {', '.join(names)} ended without a result (exit code {code})"
+        )
+    ok, result = pickle.loads(payload)
+    if not ok:
+        raise result
+    return tuple([ReportEntry(*fields) for fields in part] for part in result)
+
+
 def run_verify_suite(config: VerifyConfig | None = None) -> IdentityReport:
     """Execute every registered check for the selected suites and return the
     sorted report.  Deterministic: identical configs produce identical
     reports (the operator sample vectors come from a fixed-seed generator).
+
+    The selected suites are dealt round-robin into one group per available
+    CPU, at most one per suite.  This process runs the first group; each
+    other group runs in a forked child and pipes its entries back.  Every
+    identity id begins with its suite's name and the report is sorted, so
+    its bytes do not depend on the number of CPUs.
     """
     cfg = config if config is not None else VerifyConfig()
     selected = SUITES if cfg.suite == "all" else (cfg.suite,)
-    entries = [_entry(check) for name in selected for check in _SUITE_FUNCS[name](cfg)]
-    counterexamples = []
-    if cfg.include_printed_counterexamples:
-        counterexamples = [_entry(check) for check in _printed_counterexamples(selected)]
+    workers = min(_cpu_count(), len(selected))
+    groups = [selected[i::workers] for i in range(workers)]
+    children = []
+    try:
+        for names in groups[1:]:
+            children.append(_fork_group(cfg, names))
+        entries, counterexamples = _run_group(cfg, groups[0])
+        payloads = [_read(read_fd) for _, read_fd in children]
+    finally:
+        # On success every child has closed its pipe; after an exception
+        # the children are killed unread.
+        statuses = [_reap(*child) for child in children]
+    for child_entries, child_counterexamples in map(_unpack, groups[1:], payloads, statuses):
+        entries += child_entries
+        counterexamples += child_counterexamples
     return IdentityReport(entries=entries, counterexamples=counterexamples)

@@ -102,6 +102,28 @@ class TestBasisEval:
             want = binomial_coeff(n, k) * u**k * (1.0 - u) ** (n - k)
             assert basis_eval_real((k, n), x, q) == want
 
+    @pytest.mark.parametrize(
+        "k, n, x, q", [(514, 1029, 1.5, 1.0), (600, 1000, 1.3, 1.0), (514, 1029, 2.0, 0.5)]
+    )
+    def test_real_where_the_float_product_overflows_matches_exact(self, k, n, x, q):
+        # C(n, k) fits in a float, but C(n, k) * u**k does not
+        u = Fraction(x if q == 1 else q_number_real(x, q))
+        assert 1 < u < 2
+        exact = float(binomial_coeff(n, k) * u**k * (1 - u) ** (n - k))
+        assert basis_eval_real((k, n), x, q) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "k, n, x, want",
+        [
+            (0, 3, math.inf, -math.inf),
+            (3, 3, math.inf, math.inf),
+            (1, 3, -math.inf, -math.inf),
+            (0, 2, -math.inf, math.inf),
+        ],
+    )
+    def test_real_infinite_u_keeps_its_signed_infinity(self, k, n, x, want):
+        assert basis_eval_real((k, n), x, 1.0) == want
+
     def test_real_unrepresentable_value_still_overflows(self):
         with pytest.raises(OverflowError):
             basis_eval_real((1000, 2000), 3.0, 1.0)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qbernstein.cli
 import qbernstein.tables
+import qbernstein.verify
 from qbernstein.cli import (
     BERNSTEIN_NMAX_LIMIT,
     EULER_NMAX_LIMIT,
@@ -18,6 +19,7 @@ from qbernstein.cli import (
     OPERATOR_WORK_LIMIT,
     main,
 )
+from qbernstein.kernel import DomainError, binomial_coeff
 
 
 def run_cli(*args, **kwargs):
@@ -120,6 +122,14 @@ class TestBernsteinCommand:
         proc = run_cli("bernstein", "eval", "--k", "700", "--n", "2000", "--x", "0.3", "--q", "0.5")
         assert proc.returncode == 0
         assert float(proc.stdout) == pytest.approx(0.0011387682321911522, rel=1e-9)
+
+    def test_eval_where_the_float_product_overflows_runs(self):
+        # C(1029, 514) fits in a float, but C(n,k) * 1.5**514 does not
+        proc = run_cli("bernstein", "eval", "--k", "514", "--n", "1029", "--x", "1.5", "--q", "1")
+        assert proc.returncode == 0
+        exact = float(binomial_coeff(1029, 514) * Fraction(3, 2) ** 514 * Fraction(-1, 2) ** 515)
+        assert float(proc.stdout) == pytest.approx(exact, rel=1e-9)
+        assert exact == pytest.approx(-4.32e243, rel=1e-3)
 
     def test_eval_negative_q_is_domain_error(self):
         proc = run_cli("bernstein", "eval", "--k", "1", "--n", "2", "--x", "0.2", "--q", "-0.5")
@@ -357,6 +367,28 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert f"{flag[2:]} must lie in" in err
         assert "Traceback" not in err
+
+    def test_repeated_q_rejected_before_any_suite(self, monkeypatch, capsys):
+        def no_suite(cfg):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(qbernstein.cli, "run_verify_suite", no_suite)
+        assert main(["verify", "--suite", "stirling", "--q", "1/2", "--q", "2/4"]) == 2
+        err = capsys.readouterr().err
+        assert "q = 1/2 is repeated" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_domain_error_in_a_suite_exits_alike_in_any_worker(self, workers, monkeypatch, capsys):
+        # at 2 CPUs the stirling suite runs in a forked child
+        def failing_suite(cfg):
+            raise DomainError("stirling went wrong")
+            yield
+
+        monkeypatch.setattr(qbernstein.verify, "_cpu_count", lambda: workers)
+        monkeypatch.setitem(qbernstein.verify._SUITE_FUNCS, "stirling", failing_suite)
+        assert main(["verify", "--q", "1/2", "--nmax", "1", "--smax", "1", "--kmax", "0"]) == 3
+        assert "domain error: stirling went wrong" in capsys.readouterr().err
 
     def test_raised_nmax_run_passes(self, capsys):
         assert main(["verify", "--suite", "bernstein", "--q", "1/2", "--nmax", "20"]) == 0

@@ -384,6 +384,41 @@ def test_fermionic_sum_geometric_route_matches_fraction_loop(case, n):
     assert fermionic_sum(n, q, p, level) == _ref_fermionic(n, q, p, level)
 
 
+def _ref_fermionic_gcd(n, q, p, level):
+    """The geometric sum over (b**(N-1) (b-a))**n, reduced by Fraction's own
+    gcd of the two full integers."""
+    terms = p**level
+    a, b = q.numerator, q.denominator
+    shift = b ** (terms - 1)
+    total = 0
+    for j in range(n + 1):
+        g = (b ** (j * terms) + a ** (j * terms)) // (b**j + a**j) * math.comb(n, j)
+        total = total * shift + (-g if j & 1 else g)
+    return Fraction(total * b**n, (shift * (b - a)) ** n)
+
+
+@st.composite
+def _composite_b_case(draw):
+    """(p, q, level) in the convergence regime with a composite denominator
+    b, such as q = 7/10 at p = 3; q > 1 and q < 0 included; p**level <= 729."""
+    p = draw(st.sampled_from([3, 5]))
+    b = draw(st.sampled_from([4, 8, 10, 14, 16, 22, 26, 28, 49, 77]).filter(lambda b: b % p))
+    q = Fraction(b + p * draw(st.integers(-8, 8).filter(bool)), b)
+    level = draw(st.integers(1, {3: 6, 5: 4}[p]))
+    return p, q, level
+
+
+@given(_composite_b_case(), st.integers(0, 8))
+@example((3, Fraction(7, 10), 6), 5)
+@example((5, Fraction(19, 14), 4), 3)
+def test_fermionic_sum_lowest_terms_match_the_full_gcd(case, n):
+    p, q, level = case
+    got = fermionic_sum(n, q, p, level)
+    want = _ref_fermionic_gcd(n, q, p, level)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+
+
 @pytest.mark.parametrize("n, q, level", [(6, Fraction(4), 12), (1, Fraction(4, 7), 10)])
 def test_fermionic_sum_reaches_deep_levels(n, q, level):
     assert padic_valuation(fermionic_sum(n, q, 3, level) - euler_closed(n, q), 3) >= level

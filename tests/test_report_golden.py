@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from qbernstein import verify
 from qbernstein.cli import main
 
 GOLDEN = {
@@ -59,6 +60,19 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_bytes_match_golden_digest(name, tmp_path, capsys):
+    argv, digest = GOLDEN[name]
+    out = tmp_path / "report.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_do_not_depend_on_the_cpu_count(name, workers, tmp_path, capsys, monkeypatch):
+    # one group of suites per CPU: all in process at 1, forked children above
+    monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
     argv, digest = GOLDEN[name]
     out = tmp_path / "report.json"
     assert main(["verify", *argv, "--out", str(out)]) == 0

@@ -1,9 +1,13 @@
 import json
+import os
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from qbernstein import verify
 from qbernstein.kernel import DomainError
 from qbernstein.verify import (
     DEFAULT_QS,
@@ -102,6 +106,9 @@ def test_config_validation():
         VerifyConfig(kmax=5)
     with pytest.raises(DomainError):
         VerifyConfig(suite="algebra")
+    with pytest.raises(DomainError, match="q = 1/2 is repeated"):
+        VerifyConfig(qs=(Fraction(1, 2), Fraction(3), Fraction(2, 4)))
+    assert len(VerifyConfig(qs=(Fraction(1, 2), Fraction(-1, 2))).qs) == 2
 
 
 def test_default_q_set():
@@ -157,3 +164,99 @@ def test_writer_bytes_on_the_full_default_report():
     report = run_verify_suite(VerifyConfig(include_printed_counterexamples=True))
     assert report.counterexamples
     assert report.to_json() == _dumped(report)
+
+
+# -- suites in forked workers --------------------------------------------------
+
+
+def _stub_suites(monkeypatch, workers, **actions):
+    """Replace every suite by one passing check, or by ``actions[name]``,
+    which runs before the check; suites are dealt into ``workers`` groups,
+    so at 2 the parent runs bernstein and integrals, a child euler and
+    stirling."""
+    monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+    for name in SUITES:
+
+        def suite(cfg, name=name):
+            if name in actions:
+                actions[name]()
+            yield f"{name}.stub", {"q": cfg.qs[0]}, 1, 1
+
+        monkeypatch.setitem(verify._SUITE_FUNCS, name, suite)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise(exc):
+    def action():
+        raise exc
+
+    return action
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_stubbed_suites_merge_into_one_report(workers, monkeypatch):
+    _stub_suites(monkeypatch, workers)
+    report = run_verify_suite(VerifyConfig())
+    assert [e.identity_id for e in report.entries] == [f"{name}.stub" for name in SUITES]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc_type", [DomainError, RuntimeError])
+def test_child_exception_is_raised_again_in_the_parent(exc_type, monkeypatch):
+    _stub_suites(monkeypatch, 2, stirling=_raise(exc_type("stirling went wrong")))
+    with pytest.raises(exc_type) as info:
+        run_verify_suite(VerifyConfig())
+    assert type(info.value) is exc_type
+    assert str(info.value) == "stirling went wrong"
+    _assert_no_child_left()
+
+
+def test_child_that_dies_without_a_result_is_named(monkeypatch):
+    _stub_suites(monkeypatch, 2, euler=lambda: os._exit(7))
+    with pytest.raises(RuntimeError, match=r"suites euler, stirling .*exit code 7"):
+        run_verify_suite(VerifyConfig())
+    _assert_no_child_left()
+
+
+def test_children_are_killed_when_the_parent_group_raises(monkeypatch):
+    parent_fails = _raise(RuntimeError("parent failed"))
+    _stub_suites(monkeypatch, 4, bernstein=parent_fails, euler=lambda: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent failed"):
+        run_verify_suite(VerifyConfig())
+    assert time.monotonic() - start < 30  # killed, not waited for
+    _assert_no_child_left()
+
+
+def test_default_run_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 4)
+    assert run_verify_suite(FAST).ok
+    _assert_no_child_left()
+
+
+def test_cpu_count_is_one_while_other_threads_run():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert verify._cpu_count() == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert verify._cpu_count() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_single_suite_run_never_forks(suite, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = VerifyConfig(suite=suite, qs=(Fraction(1, 2),), nmax=3, smax=1, kmax=1)
+    assert run_verify_suite(cfg).ok
