@@ -81,6 +81,7 @@ def basis_eval_real(idx, x: float, q: float) -> float:
     # Only C(n,k) can overflow at u = 0 or 1, and then 0 < k < n.
     if u == 0.0 or u == 1.0:
         return 0.0
+    # A zero exponent adds nothing; at an infinite u, 0 * log would be nan.
     log_value = math.log(c)
     if k:
         log_value += k * math.log(abs(u))

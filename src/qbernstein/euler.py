@@ -369,7 +369,9 @@ def fermionic_sum(n: int, q, p: int, level: int) -> Fraction:
     small = (b - a) ** n
     g = math.gcd(total, small)
     num, den = total // g, small // g * b ** ((terms - 2) * n)
-    return _coprime_fraction(-num, -den) if den < 0 else _coprime_fraction(num, den)
+    if den < 0:
+        num, den = -num, -den
+    return _coprime_fraction(num, den)
 
 
 def _coprime_fraction(num: int, den: int) -> Fraction:
