@@ -13,7 +13,6 @@ Exit codes: 0 all checks pass, 1 identity violation, 2 usage error
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -158,10 +157,18 @@ def _cmd_verify(args) -> int:
     except DomainError as exc:
         # bad bounds / empty q list are command-line usage problems
         raise _UsageError(str(exc)) from exc
+    out = Path(args.out) if args.out else None
+    if out is not None and out.is_dir():
+        raise _UsageError(f"--out {args.out} is a directory")
+    if out is not None and not out.parent.is_dir():
+        raise _UsageError(f"--out {args.out} lies in a missing directory")
     report = run_verify_suite(cfg)
     _print_report(report)
-    if args.out:
-        Path(args.out).write_text(report.to_json())
+    if out is not None:
+        try:
+            out.write_text(report.to_json())
+        except OSError as exc:
+            raise _UsageError(f"cannot write the report: {exc}") from exc
     return 0 if report.ok else 1
 
 
@@ -258,6 +265,8 @@ def _parse_monomial_spec(text: str) -> int:
 
 
 def _read_samples(path: str) -> list[Fraction]:
+    import csv  # here, not above: only the CSV readers and writers need it
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -318,6 +327,8 @@ def _cmd_operator(args) -> int:
     except OverflowError as exc:
         raise DomainError(f"float overflow on the grid at q = {args.q}") from exc
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x", "value"])
@@ -343,6 +354,8 @@ def _cmd_padic(args) -> int:
                 f"(p + ... + p**levels) * max(n, 1) * bits(q) must stay within "
                 f"{PADIC_WORK_LIMIT}"
             )
+    import csv
+
     limit = euler_number(args.n, args.q)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -16,12 +16,12 @@ exercised by the verifier's counterexample section.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .kernel import (
     DomainError,
+    FrozenRecord,
     binomial_coeff,
     require_padic_convergence,
     to_rational,
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EulerTable:
+class EulerTable(FrozenRecord):
     """Memoized prefix E_0..E_N for one fixed rational q.
 
     Immutable: extension returns a new, longer table.  q = -1 is impossible
@@ -53,13 +52,13 @@ class EulerTable:
     Euler numbers.
     """
 
-    q: Fraction
-    values: tuple[Fraction, ...]
+    __slots__ = ("q", "values")
 
-    def __post_init__(self):
-        if self.q == -1:
+    def __init__(self, q: Fraction, values: tuple[Fraction, ...]):
+        self._init(q, values)
+        if q == -1:
             raise DomainError("q = -1 makes 1 + q**n vanish for odd n")
-        if not self.values or self.values[0] != 1:
+        if not values or values[0] != 1:
             raise DomainError("a table must start with E_0 = 1")
 
     def __len__(self) -> int:
@@ -74,6 +73,8 @@ class EulerTable:
 
     def extend(self, nmax: int) -> "EulerTable":
         """A table for the same q covering 0..nmax; self is unchanged."""
+        if nmax < 0:
+            raise DomainError(f"nmax must be nonnegative, got {nmax}")
         if nmax <= self.nmax:
             return EulerTable(self.q, self.values[: nmax + 1])
         return euler_table(self.q, nmax)
@@ -182,6 +183,8 @@ def _prefix(q, nmax: int) -> _Prefix:
 
 def euler_number(n: int, q) -> Fraction:
     """E_n at the given rational q (recurrence route, cached)."""
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
     return _prefix(q, n).values[n]
 
 

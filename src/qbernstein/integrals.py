@@ -21,13 +21,13 @@ always include a separating instance such as the single factor k = 1, n = 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernstein import basis_eval_exact
 from .euler import _prefix, euler_number
 from .kernel import (
     DomainError,
+    FrozenRecord,
     binomial_coeff,
     require_padic_convergence,
     to_rational,
@@ -86,24 +86,23 @@ def _reflected(k: int, pairs, qr: Fraction) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class IntegralInstance:
-    """One power-product moment: prod_i B_{k,n_i}**m_i at a fixed rational q."""
+class IntegralInstance(FrozenRecord):
+    """One power-product moment: prod_i B_{k,n_i}**m_i at a fixed rational q.
 
-    k: int
-    degrees: tuple[tuple[int, int], ...]  # (n_i, m_i) pairs, m_i >= 1
-    q: Fraction
+    ``degrees`` holds the (n_i, m_i) pairs, m_i >= 1.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", to_rational(self.q))
-        object.__setattr__(
-            self, "degrees", tuple((int(n), int(m)) for n, m in self.degrees)
-        )
-        if self.k < 0:
+    __slots__ = ("k", "degrees", "q")
+
+    def __init__(self, k: int, degrees: tuple[tuple[int, int], ...], q: Fraction):
+        q = to_rational(q)
+        degrees = tuple((int(n), int(m)) for n, m in degrees)
+        self._init(k, degrees, q)
+        if k < 0:
             raise DomainError("k must be nonnegative")
-        if not self.degrees:
+        if not degrees:
             raise DomainError("at least one factor is required")
-        if any(n < 0 or m < 1 for n, m in self.degrees):
+        if any(n < 0 or m < 1 for n, m in degrees):
             raise DomainError("need n_i >= 0 and m_i >= 1")
 
     @property

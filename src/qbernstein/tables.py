@@ -7,7 +7,6 @@ output is byte-identical across runs for identical inputs.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 
@@ -38,6 +37,8 @@ def emit_table(kind: str, params: dict, fmt: str = "csv") -> bytes:
     else:
         raise ValueError(f"unknown table kind: {kind!r}")
     if fmt == "csv":
+        import csv  # here, not above: every `qb` command imports this module
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

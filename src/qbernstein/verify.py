@@ -36,7 +36,6 @@ import math
 import os
 import random
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from json.encoder import encode_basestring_ascii as _esc
@@ -56,7 +55,14 @@ from .euler import (
     shift_moment,
     shift_moment_sum,
 )
-from .kernel import DomainError, binomial_coeff, format_rational, padic_valuation
+from .kernel import (
+    DomainError,
+    FrozenRecord,
+    Record,
+    binomial_coeff,
+    format_rational,
+    padic_valuation,
+)
 from .qcore import gaussian_binomial, stirling2
 from .upoly import UPoly
 
@@ -83,41 +89,48 @@ KMAX_CAP = 4  # a moment needs degree > k per factor, and no factor has degree a
 _RNG_SEED = 20211  # fixed so reports are byte-identical across runs
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(FrozenRecord):
     """Suite selection, q sample set, and size bounds for one verifier run."""
 
-    suite: str = "all"
-    qs: tuple[Fraction, ...] = DEFAULT_QS
-    nmax: int = 12
-    smax: int = 3
-    kmax: int = 2
-    include_printed_counterexamples: bool = False
+    __slots__ = ("suite", "qs", "nmax", "smax", "kmax", "include_printed_counterexamples")
 
-    def __post_init__(self):
-        if self.suite != "all" and self.suite not in SUITES:
-            raise DomainError(f"unknown suite: {self.suite!r}")
-        if not self.qs:
+    def __init__(
+        self,
+        suite: str = "all",
+        qs: tuple[Fraction, ...] = DEFAULT_QS,
+        nmax: int = 12,
+        smax: int = 3,
+        kmax: int = 2,
+        include_printed_counterexamples: bool = False,
+    ):
+        self._init(suite, qs, nmax, smax, kmax, include_printed_counterexamples)
+        if suite != "all" and suite not in SUITES:
+            raise DomainError(f"unknown suite: {suite!r}")
+        if not qs:
             raise DomainError("the q sample set must be nonempty")
-        values = [Fraction(q) for q in self.qs]
+        values = [Fraction(q) for q in qs]
         for i, q in enumerate(values):
             if q in values[:i]:
                 raise DomainError(f"q = {format_rational(q)} is repeated in the q sample set")
-        if not 1 <= self.nmax <= NMAX_CAP:
+        if not 1 <= nmax <= NMAX_CAP:
             raise DomainError(f"nmax must lie in 1..{NMAX_CAP}")
-        if not 1 <= self.smax <= 3:
+        if not 1 <= smax <= 3:
             raise DomainError("smax must lie in 1..3")
-        if not 0 <= self.kmax <= KMAX_CAP:
+        if not 0 <= kmax <= KMAX_CAP:
             raise DomainError(f"kmax must lie in 0..{KMAX_CAP}")
 
 
-@dataclass
-class ReportEntry:
-    identity_id: str
-    params: dict[str, str]
-    lhs: str
-    rhs: str
-    verdict: str  # "pass" | "fail"
+class ReportEntry(Record):
+    __slots__ = ("identity_id", "params", "lhs", "rhs", "verdict")
+
+    def __init__(
+        self, identity_id: str, params: dict[str, str], lhs: str, rhs: str, verdict: str
+    ):
+        self.identity_id = identity_id
+        self.params = params
+        self.lhs = lhs
+        self.rhs = rhs
+        self.verdict = verdict  # "pass" | "fail"
 
     @property
     def sort_key(self):
@@ -133,15 +146,19 @@ class ReportEntry:
         }
 
 
-@dataclass
-class IdentityReport:
-    """All entries of one run, sorted; counterexamples are kept separate and
-    are expected to carry verdict ``fail``."""
+class IdentityReport(Record):
+    """All entries of one run, sorted in place; counterexamples are kept
+    separate and are expected to carry verdict ``fail``."""
 
-    entries: list[ReportEntry] = field(default_factory=list)
-    counterexamples: list[ReportEntry] = field(default_factory=list)
+    __slots__ = ("entries", "counterexamples")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        entries: list[ReportEntry] | None = None,
+        counterexamples: list[ReportEntry] | None = None,
+    ):
+        self.entries = [] if entries is None else entries
+        self.counterexamples = [] if counterexamples is None else counterexamples
         self.entries.sort(key=lambda e: e.sort_key)
         self.counterexamples.sort(key=lambda e: e.sort_key)
 

@@ -326,6 +326,11 @@ class TestPadicCommand:
     def test_bad_levels(self):
         assert run_cli("padic", "--p", "3", "--n", "1", "--levels", "0").returncode == 2
 
+    def test_negative_n_names_n(self):
+        proc = run_cli("padic", "--p", "3", "--n", "-1")
+        assert proc.returncode == 3
+        assert proc.stderr == "domain error: n must be nonnegative, got -1\n"
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self):
@@ -367,6 +372,31 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert f"{flag[2:]} must lie in" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", [".", "missing-dir/report.json"])
+    def test_out_rejected_before_any_suite(self, target, tmp_path, monkeypatch, capsys):
+        def no_suite(cfg):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(qbernstein.cli, "run_verify_suite", no_suite)
+        out = str(tmp_path / target)
+        assert main(["verify", "--suite", "stirling", "--q", "1/2", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: --out {out} ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_write_error_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def refuse(self, text):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(qbernstein.cli.Path, "write_text", refuse)
+        out = str(tmp_path / "report.json")
+        assert main(["verify", "--suite", "stirling", "--q", "1/2", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "result: PASS" in captured.out
+        assert captured.err.startswith("usage error: cannot write the report: ")
 
     def test_repeated_q_rejected_before_any_suite(self, monkeypatch, capsys):
         def no_suite(cfg):
@@ -433,9 +463,22 @@ def _flag(name, values):
     return st.one_of(st.just([]), values.map(lambda v: [name, v]))
 
 
+_BOUND = st.sampled_from(["-1", "0", "1", "3", "4", "5", "32", "33"])
+_EXTRA_Q = st.sampled_from([[], ["--q", "0"], ["--q", "1"], ["--q", "-1"], ["--q", "2/4"]])
+# never written: a directory, and a path in a directory that does not exist
+_OUT = st.sampled_from([str(Path(__file__).parent), str(Path(__file__).parent / "missing" / "r")])
+
+
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["euler", "eval", "upoly", "operator", "padic"]))
+    command = draw(st.sampled_from(["euler", "eval", "upoly", "operator", "padic", "verify"]))
+    if command == "verify":
+        # one fast suite at one q, so that a run with valid bounds stays cheap
+        argv = ["verify", "--suite", "stirling", "--q", "1/2", *draw(_EXTRA_Q)]
+        for flag in ("--nmax", "--smax", "--kmax"):
+            argv += draw(_flag(flag, _BOUND))
+        argv += draw(st.sampled_from([[], ["--include-printed-counterexamples"]]))
+        return argv + draw(_flag("--out", _OUT))
     if command == "euler":
         argv = ["euler", *draw(_flag("--q", _RATIONAL)), *draw(_flag("--nmax", _INT))]
         return argv + draw(_flag("--format", _FORMAT))
@@ -459,6 +502,7 @@ def _argv(draw):
 @given(_argv())
 @example(["bernstein", "eval", "--k", "1", "--n", "2", "--x", "2000", "--q", "2"])
 @example(["operator", "--f", "t^2", "--n", "3", "--q", "2", "--grid", "0:1100:100"])
+@example(["verify", "--suite", "stirling", "--q", "1/2", "--out", str(Path(__file__).parent)])
 def test_every_argv_ends_in_a_documented_exit_code(argv):
     out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()  # `qb` writes bytes too
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

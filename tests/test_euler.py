@@ -102,6 +102,12 @@ class TestEulerTable:
         with pytest.raises(DomainError):
             euler_number(-1, Fraction(1, 2))
 
+    def test_negative_size_errors_name_their_argument(self):
+        with pytest.raises(DomainError, match="^n must be nonnegative, got -1$"):
+            euler_number(-1, Fraction(1, 2))
+        with pytest.raises(DomainError, match="^nmax must be nonnegative, got -1$"):
+            euler_table(Fraction(1, 2), 4).extend(-1)
+
 
 class TestClosedForm:
     def test_examples(self):
