@@ -161,7 +161,7 @@ def _cmd_verify(args) -> int:
     if out is not None and out.is_dir():
         raise _UsageError(f"--out {args.out} is a directory")
     if out is not None and not out.parent.is_dir():
-        raise _UsageError(f"--out {args.out} lies in a missing directory")
+        raise _UsageError(f"--out {args.out}: {out.parent} is not a directory")
     report = run_verify_suite(cfg)
     _print_report(report)
     if out is not None:

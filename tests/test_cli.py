@@ -382,7 +382,7 @@ class TestVerifyCommand:
         out = str(tmp_path / target)
         assert main(["verify", "--suite", "stirling", "--q", "1/2", "--out", out]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"usage error: --out {out} ")
+        assert captured.err.startswith(f"usage error: --out {out}")
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
@@ -502,6 +502,7 @@ def _argv(draw):
 @given(_argv())
 @example(["bernstein", "eval", "--k", "1", "--n", "2", "--x", "2000", "--q", "2"])
 @example(["operator", "--f", "t^2", "--n", "3", "--q", "2", "--grid", "0:1100:100"])
+@example(["verify", "--suite", "stirling", "--q", "1/2", "--include-printed-counterexamples"])
 @example(["verify", "--suite", "stirling", "--q", "1/2", "--out", str(Path(__file__).parent)])
 def test_every_argv_ends_in_a_documented_exit_code(argv):
     out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()  # `qb` writes bytes too

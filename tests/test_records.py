@@ -11,7 +11,6 @@ import pytest
 
 from qbernstein.euler import EulerTable, euler_table
 from qbernstein.integrals import IntegralInstance
-from qbernstein.kernel import DomainError
 from qbernstein.verify import DEFAULT_QS, IdentityReport, ReportEntry, VerifyConfig
 
 HALF = Fraction(1, 2)
@@ -160,18 +159,3 @@ def test_records_survive_pickle_and_copy(record, twin):
     assert pickle.loads(pickle.dumps(record)) == twin
     assert copy.copy(record) == twin
     assert copy.deepcopy(record) == twin
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: VerifyConfig(suite="algebra"),
-        lambda: VerifyConfig(qs=()),
-        lambda: EulerTable(HALF, ()),
-        lambda: EulerTable(Fraction(-1), (Fraction(1),)),
-        lambda: IntegralInstance(-1, ((2, 1),), HALF),
-    ],
-)
-def test_construction_still_validates(build):
-    with pytest.raises(DomainError):
-        build()
