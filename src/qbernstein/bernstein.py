@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .kernel import DomainError, binomial_coeff, to_rational
+from .kernel import DomainError, binomial_coeff, require_real_domain, to_rational
 from .qcore import forward_differences, q_number_real
 from .upoly import UPoly
 
@@ -66,8 +66,7 @@ def basis_eval_real(idx, x: float, q: float) -> float:
     OverflowError.
     """
     k, n = idx
-    if q <= 0:
-        raise DomainError(f"q must be positive, got {q}")
+    require_real_domain(x, q)
     if k < 0 or n < k:
         return 0.0
     u = float(x) if q == 1 else q_number_real(x, q)
@@ -148,8 +147,7 @@ def basis_derivative(idx, x: float, q: float) -> float:
     classical derivative is returned.
     """
     k, n = idx
-    if q <= 0:
-        raise DomainError(f"q must be positive, got {q}")
+    require_real_domain(x, q)
     if n <= 0:
         return 0.0
     prefactor = 1.0 if q == 1 else (math.log(q) / (q - 1.0)) * q**x

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 from .bernstein import basis_eval_exact, basis_eval_real, monomial_samples, operator_eval_real
 from .euler import euler_number, fermionic_sum
 from .kernel import DomainError, format_rational, is_odd_prime, padic_valuation, parse_rational
-from .tables import emit_table
+from .tables import emit_table, render_rows
 from .verify import DEFAULT_QS, SUITES, IdentityReport, VerifyConfig, run_verify_suite
 
 __all__ = ["main"]
@@ -265,7 +264,7 @@ def _parse_monomial_spec(text: str) -> int:
 
 
 def _read_samples(path: str) -> list[Fraction]:
-    import csv  # here, not above: only the CSV readers and writers need it
+    import csv  # here, not above: only the samples reader needs it
 
     try:
         text = Path(path).read_text()
@@ -326,16 +325,7 @@ def _cmd_operator(args) -> int:
         rows = [(x, operator_eval_real(values, x, args.q)) for x in grid]
     except OverflowError as exc:
         raise DomainError(f"float overflow on the grid at q = {args.q}") from exc
-    if args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "value"])
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(json.dumps([{"x": x, "value": v} for x, v in rows], indent=2))
+    sys.stdout.buffer.write(render_rows(["x", "value"], rows, args.format))
     return 0
 
 
@@ -354,17 +344,13 @@ def _cmd_padic(args) -> int:
                 f"(p + ... + p**levels) * max(n, 1) * bits(q) must stay within "
                 f"{PADIC_WORK_LIMIT}"
             )
-    import csv
-
     limit = euler_number(args.n, args.q)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["level", "sum", "valuation"])
+    rows = []
     for level in range(1, args.levels + 1):
         s = fermionic_sum(args.n, args.q, args.p, level)
         v = padic_valuation(s - limit, args.p)
-        writer.writerow([level, format_rational(s), "inf" if v == float("inf") else v])
-    sys.stdout.write(buf.getvalue())
+        rows.append((level, format_rational(s), "inf" if v == float("inf") else v))
+    sys.stdout.buffer.write(render_rows(["level", "sum", "valuation"], rows))
     return 0
 
 

@@ -24,6 +24,7 @@ from .kernel import (
     FrozenRecord,
     binomial_coeff,
     require_padic_convergence,
+    require_real_domain,
     to_rational,
 )
 from .qcore import q_number_int, q_number_real
@@ -38,6 +39,7 @@ __all__ = [
     "euler_poly_real",
     "euler_table",
     "fermionic_sum",
+    "moment",
     "reflection_check",
     "shift_moment",
     "shift_moment_sum",
@@ -257,9 +259,11 @@ def euler_poly_closed(n: int, x: int, q) -> Fraction:
 
 
 def euler_poly_real(n: int, x: float, q: float) -> float:
-    """Floating overload of ``euler_poly`` for real x; needs q > 0, q != 1."""
-    if q <= 0 or q == 1:
-        raise DomainError("the floating path needs q > 0 and q != 1")
+    """Floating overload of ``euler_poly`` for real x; needs a finite q > 0,
+    q != 1, and an x that is not nan."""
+    require_real_domain(x, q)
+    if q == 1:
+        raise DomainError("the floating path needs q != 1")
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     if q > 1:
@@ -329,11 +333,19 @@ def complement_moment(n: int, q) -> Fraction:
     if q == 0:
         raise DomainError("q = 0 has no reciprocal parameter for the contract")
     _reject_poles(q)
-    prefix = _prefix(q, n)
-    return Fraction(
-        sum(math.comb(n, l) * (-1) ** l * e for l, e in enumerate(prefix.nums[: n + 1])),
-        prefix.den,
-    )
+    return moment(0, n, q)
+
+
+def moment(s: int, d: int, q, coeff: int = 1) -> Fraction:
+    """The moment of coeff u**s (1-u)**d at u = [x]_q, that is
+    coeff sum_j C(d,j) (-1)**j E_{s+j,q}: every E-moment of the package,
+    summed over the cached prefix's integer numerators into one Fraction."""
+    if s < 0 or d < 0:
+        raise DomainError(f"exponents must be nonnegative, got s = {s}, d = {d}")
+    prefix = _prefix(q, s + d)
+    terms = enumerate(prefix.nums[s : s + d + 1])
+    total = sum(math.comb(d, j) * (-1) ** j * e for j, e in terms)
+    return Fraction(coeff * total, prefix.den)
 
 
 def fermionic_sum(n: int, q, p: int, level: int) -> Fraction:

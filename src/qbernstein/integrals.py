@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernstein import basis_eval_exact
-from .euler import _prefix, euler_number
+from .bernstein import basis_upoly
+from .euler import euler_number, fermionic_sum, moment
 from .kernel import (
     DomainError,
     FrozenRecord,
@@ -32,7 +32,6 @@ from .kernel import (
     require_padic_convergence,
     to_rational,
 )
-from .qcore import q_number_int
 
 __all__ = [
     "IntegralInstance",
@@ -58,32 +57,20 @@ def _direct(k: int, pairs, q: Fraction) -> Fraction:
     coeff = math.prod(binomial_coeff(n, k) ** m for n, m in pairs)
     if coeff == 0:
         return Fraction(0)
-    total = sum(n * m for n, m in pairs)
     kM = k * sum(m for _, m in pairs)
-    d = total - kM  # >= 0 whenever the coefficient is nonzero
-    prefix = _prefix(q, total)
-    e = prefix.nums
-    return Fraction(
-        coeff * sum(math.comb(d, j) * (-1) ** j * e[j + kM] for j in range(d + 1)),
-        prefix.den,
-    )
+    # T - kM >= 0 whenever the coefficient is nonzero
+    return moment(kM, sum(n * m for n, m in pairs) - kM, q, coeff)
 
 
 def _reflected(k: int, pairs, qr: Fraction) -> Fraction:
-    """prod_i C(n_i,k)**m_i sum_j C(kM,j) (-1)**(kM-j) E_{T-j,qr}, or
+    """prod_i C(n_i,k)**m_i sum_j C(kM,j) (-1)**j E_{T-kM+j,qr}, or
     2 + E_{T,qr} when kM = 0; needs T > kM."""
     total = sum(n * m for n, m in pairs)
     kM = k * sum(m for _, m in pairs)
     if kM == 0:
         return 2 + euler_number(total, qr)
     coeff = math.prod(binomial_coeff(n, k) ** m for n, m in pairs)
-    prefix = _prefix(qr, total)
-    e = prefix.nums
-    return Fraction(
-        coeff
-        * sum(math.comb(kM, j) * (-1) ** (kM - j) * e[total - j] for j in range(kM + 1)),
-        prefix.den,
-    )
+    return moment(total - kM, kM, qr, coeff)
 
 
 class IntegralInstance(FrozenRecord):
@@ -200,15 +187,13 @@ def fermionic_basis_sum(k: int, n: int, q, p: int, level: int) -> Fraction:
 
     Independent p-adic oracle for ``integral_basis``: the valuation of the
     difference must be at least the truncation level in the convergence
-    regime |1-q|_p < 1, |q|_p <= 1.
+    regime |1-q|_p < 1, |q|_p <= 1.  The sum is linear in the integrand, so
+    it expands over the monomial coefficients c_l of the basis member as
+    sum_l c_l ``fermionic_sum(l, q, p, level)``.
     """
     q = to_rational(q)
     if k < 0 or n < 0:
         raise DomainError("indices must be nonnegative")
     require_padic_convergence(q, p, level)
-    total = Fraction(0)
-    sign = 1
-    for x in range(p**level):
-        total += sign * basis_eval_exact((k, n), q_number_int(x, q))
-        sign = -sign
-    return total
+    terms = enumerate(basis_upoly((k, n)).coeffs)
+    return sum((c * fermionic_sum(l, q, p, level) for l, c in terms if c), Fraction(0))

@@ -22,6 +22,7 @@ __all__ = [
     "padic_valuation",
     "parse_rational",
     "require_padic_convergence",
+    "require_real_domain",
     "to_rational",
 ]
 
@@ -168,6 +169,15 @@ def require_padic_convergence(q: Fraction, p: int, level: int) -> None:
         raise DomainError(f"level must be >= 1, got {level}")
     if padic_valuation(q, p) < 0 or padic_valuation(q - 1, p) < 1:
         raise DomainError("need |q|_p <= 1 and |1-q|_p < 1 for p-adic convergence")
+
+
+def require_real_domain(x: float, q: float) -> None:
+    """Preconditions of the floating path: a finite q > 0 and an x that is
+    not nan (an infinite x gives an infinite or limiting u = [x]_q)."""
+    if not 0 < q < math.inf:  # also refuses nan
+        raise DomainError(f"q must be finite and positive, got {q}")
+    if math.isnan(x):
+        raise DomainError("x must not be nan")
 
 
 def binomial_coeff(n: int, k: int) -> int:

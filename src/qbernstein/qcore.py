@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .kernel import DomainError, binomial_coeff, to_rational
+from .kernel import DomainError, binomial_coeff, require_real_domain, to_rational
 from .upoly import UPoly
 
 __all__ = [
@@ -48,9 +48,9 @@ def q_number_int(x: int, q) -> Fraction:
 
 
 def q_number_real(x: float, q: float) -> float:
-    """[x]_q on the floating path; q must be positive and distinct from 1."""
-    if q <= 0:
-        raise DomainError(f"q must be positive, got {q}")
+    """[x]_q on the floating path; q must be finite, positive and distinct
+    from 1, and x must not be nan."""
+    require_real_domain(x, q)
     if q == 1:
         raise DomainError("q = 1 is a pole of the floating form; use the limit value x")
     return (1.0 - q**x) / (1.0 - q)

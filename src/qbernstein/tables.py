@@ -16,7 +16,7 @@ from .kernel import DomainError, format_rational, to_rational
 from .qcore import stirling2
 from .stirling import q_stirling2
 
-__all__ = ["emit_table"]
+__all__ = ["emit_table", "render_rows"]
 
 TABLE_KINDS = ("euler", "bernstein", "stirling")
 
@@ -36,6 +36,12 @@ def emit_table(kind: str, params: dict, fmt: str = "csv") -> bytes:
         header, rows = _stirling_rows(params)
     else:
         raise ValueError(f"unknown table kind: {kind!r}")
+    return render_rows(header, rows, fmt)
+
+
+def render_rows(header, rows, fmt: str = "csv") -> bytes:
+    """Render a header and its rows as CSV, or as a JSON list of objects
+    keyed by the header."""
     if fmt == "csv":
         import csv  # here, not above: every `qb` command imports this module
 

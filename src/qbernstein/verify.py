@@ -614,14 +614,10 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _fields(entries: list[ReportEntry]) -> list[tuple]:
-    return [(e.identity_id, e.params, e.lhs, e.rhs, e.verdict) for e in entries]
-
-
 def _fork_group(cfg: VerifyConfig, names: tuple[str, ...]) -> tuple[int, int]:
     """Run the suites ``names`` in a forked child.  Returns its pid and the
-    read end of a pipe that carries the pickled ``(True, (entry fields,
-    counterexample fields))``, or ``(False, exception)`` if a suite raised."""
+    read end of a pipe that carries the pickled ``(True, (entries,
+    counterexamples))``, or ``(False, exception)`` if a suite raised."""
     import pickle  # here, not above: every `qb` command imports this module
 
     read_fd, write_fd = os.pipe()
@@ -636,8 +632,7 @@ def _fork_group(cfg: VerifyConfig, names: tuple[str, ...]) -> tuple[int, int]:
     try:
         os.close(read_fd)
         try:
-            entries, counterexamples = _run_group(cfg, names)
-            result = (True, (_fields(entries), _fields(counterexamples)))
+            result = (True, _run_group(cfg, names))
         except BaseException as exc:
             result = (False, exc)
         payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
@@ -676,7 +671,7 @@ def _unpack(names: tuple[str, ...], payload: bytes, status: int) -> tuple[list, 
     ok, result = pickle.loads(payload)
     if not ok:
         raise result
-    return tuple([ReportEntry(*fields) for fields in part] for part in result)
+    return result
 
 
 def run_verify_suite(config: VerifyConfig | None = None) -> IdentityReport:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -131,9 +132,23 @@ class TestBernsteinCommand:
         assert float(proc.stdout) == pytest.approx(exact, rel=1e-9)
         assert exact == pytest.approx(-4.32e243, rel=1e-3)
 
-    def test_eval_negative_q_is_domain_error(self):
-        proc = run_cli("bernstein", "eval", "--k", "1", "--n", "2", "--x", "0.2", "--q", "-0.5")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "0.2", "--q", "-0.5"],
+            ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "0.5", "--q", "nan"],
+            ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "0.5", "--q", "inf"],
+            ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "nan", "--q", "0.5"],
+            ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "nan", "--q", "1"],
+            ["operator", "--f", "t", "--n", "2", "--q", "nan", "--grid", "0:1:0.5"],
+            ["operator", "--f", "t", "--n", "2", "--q", "inf", "--grid", "0:1:0.5"],
+        ],
+    )
+    def test_float_input_outside_the_domain_is_domain_error(self, argv):
+        proc = run_cli(*argv)
         assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("domain error: ")
 
     def test_upoly_negative_k_is_domain_error(self):
         proc = run_cli("bernstein", "upoly", "--k", "-1", "--n", "3")
@@ -437,6 +452,41 @@ class TestVerifyCommand:
         assert report["summary"]["counterexamples"] == 4
         assert all(e["verdict"] == "fail" for e in report["counterexamples"])
         assert "counterexamples (expected to fail):" in proc.stdout
+
+
+# sha256 of stdout, taken while `qb operator` and `qb padic` still wrote
+# their rows through hand-built csv writers of their own
+PINNED_STDOUT = {
+    "padic": (
+        ["padic", "--p", "3", "--q", "4", "--n", "3", "--levels", "4"],
+        "02c966bdebf6a2043360eec2c39d0600218e89c8ff38bdd410da9bb26778070a",
+    ),
+    "operator-csv": (
+        ["operator", "--f", "t^2", "--n", "4", "--q", "0.9", "--grid", "0:1:0.25"],
+        "be58396563725a8e8c6da177618cbe2d276f750600bcc3295f2967a91a951c89",
+    ),
+    "operator-json": (
+        ["operator", "--f", "t^2", "--n", "4", "--q", "0.9", "--grid", "0:1:0.25", "--format", "json"],
+        "583c8dd7c33d584ba83825dec032f4a3b2fae529f2bb382d0bc08c5c2274771b",
+    ),
+    "euler-json": (
+        ["euler", "--q", "5/4", "--nmax", "6", "--format", "json"],
+        "695e7817ac56fd0b559b99497a78041e3a397cb10eb02b67e57b2bb5bb4892e6",
+    ),
+    "upoly-json": (
+        ["bernstein", "upoly", "--k", "2", "--n", "5", "--format", "json"],
+        "eaf6a806825600043d6cc9171640d9e0ed45f489c7a77b85bb8ad94ac5eb0567",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(name):
+    argv, digest = PINNED_STDOUT[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbernstein.cli", *argv], capture_output=True, check=True
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_in_process_main(capsys):

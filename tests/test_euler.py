@@ -16,6 +16,7 @@ from qbernstein.euler import (
     euler_poly_real,
     euler_table,
     fermionic_sum,
+    moment,
     reflection_check,
     shift_moment,
     shift_moment_sum,
@@ -239,6 +240,31 @@ class TestComplementMoment:
                     for l in range(n + 1)
                 )
                 assert complement_moment(n, q) == total
+
+
+class TestMoment:
+    def test_is_the_expanded_power_product(self):
+        # coeff u**s (1-u)**d, expanded by hand and integrated term by term
+        for q in (Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4)):
+            for s in range(5):
+                for d in range(5):
+                    total = sum(
+                        binomial_coeff(d, j) * (-1) ** j * euler_number(s + j, q)
+                        for j in range(d + 1)
+                    )
+                    assert moment(s, d, q) == total
+                    assert moment(s, d, q, -6) == -6 * total
+
+    def test_anchors(self):
+        q = Fraction(1, 2)
+        assert moment(0, 0, q) == 1
+        assert moment(3, 0, q) == euler_number(3, q)
+        assert moment(0, 2, q) == complement_moment(2, q) == Fraction(31, 15)
+
+    def test_negative_exponents_rejected(self):
+        for s, d in ((-1, 2), (2, -1)):
+            with pytest.raises(DomainError):
+                moment(s, d, Fraction(1, 2))
 
 
 class TestFermionicSum:

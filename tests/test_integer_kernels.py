@@ -424,6 +424,39 @@ def test_fermionic_sum_reaches_deep_levels(n, q, level):
     assert padic_valuation(fermionic_sum(n, q, 3, level) - euler_closed(n, q), 3) >= level
 
 
+def _ref_fermionic_basis(k, n, q, p, level):
+    """The truncated sum of the basis integrand, term by term over x < p**level."""
+    total, sign = Fraction(0), 1
+    for x in range(p**level):
+        total += sign * basis_eval_exact((k, n), q_number_int(x, q))
+        sign = -sign
+    return total
+
+
+# (k, n) with 0 <= k <= n + 1 <= 5: k = n + 1 is a vanishing basis member
+_basis_index = st.integers(0, 4).flatmap(lambda n: st.tuples(st.integers(0, n + 1), st.just(n)))
+
+
+@given(_padic_case(), _basis_index)
+@example((3, Fraction(4), 3), (1, 3))
+@example((5, Fraction(-4), 2), (2, 4))
+@example((7, Fraction(1), 2), (0, 4))
+def test_fermionic_basis_sum_matches_the_term_by_term_loop(case, index):
+    p, q, level = case
+    k, n = index
+    want = _ref_fermionic_basis(k, n, q, p, level)
+    assert integrals.fermionic_basis_sum(k, n, q, p, level) == want
+
+
+def test_fermionic_basis_sum_shares_nothing_with_the_e_table(monkeypatch):
+    def no_prefix(*args):
+        raise AssertionError("the E-table prefix was read")
+
+    monkeypatch.setattr(euler, "_prefix", no_prefix)
+    q = Fraction(4)
+    assert integrals.fermionic_basis_sum(1, 3, q, 3, 2) == _ref_fermionic_basis(1, 3, q, 3, 2)
+
+
 # -- q-number layer and q-Stirling numbers ----------------------------------------
 
 # every sign, q > 1, and the special values 0 and 1 drawn often

@@ -23,7 +23,9 @@ class TestIntegralBasis:
     def test_examples(self):
         assert integral_basis(1, 2, HALF) == Fraction(-4, 5)  # 2 (E_1 - E_2)
         assert integral_basis(0, 1, HALF) == Fraction(5, 3)
-        assert integral_basis(0, 1, HALF) == complement_moment(1, HALF)
+        for q in SAMPLE_QS:
+            for n in range(13):
+                assert integral_basis(0, n, q) == complement_moment(n, q)
         for n in range(7):
             assert integral_basis(n, n, HALF) == euler_number(n, HALF)
 
