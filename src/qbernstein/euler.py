@@ -83,11 +83,20 @@ class EulerTable(FrozenRecord):
 
     def check_recurrence(self) -> bool:
         """Re-verify every entry against the defining recurrence
-        sum_l C(n,l) q**l E_l + E_n = 0."""
-        q = self.q
-        for n in range(1, len(self.values)):
-            s = sum(binomial_coeff(n, l) * q**l * self.values[l] for l in range(n + 1))
-            if s + self.values[n] != 0:
+        sum_l C(n,l) q**l E_l + E_n = 0.
+
+        With q = a/b and the values written as integers e_l over their
+        least common denominator, that is
+        sum_l C(n,l) a**l b**(n-l) e_l + b**n e_n = 0 on integers.
+        """
+        a, b = self.q.numerator, self.q.denominator
+        den = math.lcm(*(v.denominator for v in self.values))
+        nums = [v.numerator * (den // v.denominator) for v in self.values]
+        a_pow = [a**l for l in range(len(nums))]
+        b_pow = [b**l for l in range(len(nums))]
+        for n in range(1, len(nums)):
+            s = sum(math.comb(n, l) * a_pow[l] * b_pow[n - l] * nums[l] for l in range(n + 1))
+            if s + b_pow[n] * nums[n] != 0:
                 return False
         return True
 
@@ -193,18 +202,36 @@ def euler_number(n: int, q) -> Fraction:
 def euler_closed(n: int, q) -> Fraction:
     """Closed form E_n = 2 (1-q)**-n sum_l C(n,l) (-1)**l / (1 + q**l).
 
-    Independent of the recurrence route; q = 1 and q = -1 are genuine poles
-    here and are rejected.
+    Independent of the recurrence route (see ``_closed_sum``); q = 1 and
+    q = -1 are genuine poles here and are rejected.
     """
     q = to_rational(q)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     if q == 1 or q == -1:
         raise DomainError("q = 1 and q = -1 are poles of the closed form")
-    s = sum(
-        Fraction(binomial_coeff(n, l) * (-1) ** l) / (1 + q**l) for l in range(n + 1)
-    )
-    return 2 * s / (1 - q) ** n
+    return _closed_sum(n, 0, q)
+
+
+def _closed_sum(n: int, x: int, q: Fraction) -> Fraction:
+    """2 (1-q)**-n sum_l C(n,l) (-1)**l q**(l x) / (1 + q**l) as one Fraction.
+
+    With q = a/b, 1/(1 + q**l) = b**l / (a**l + b**l), and q**(l x) is
+    c**l / d**l with (c, d) = (a**x, b**x) for x >= 0 and (b**-x, a**-x)
+    for x < 0.  Over L = lcm(a**l + b**l) the sum is S / (d**n L) with
+    S = sum_l C(n,l) (-1)**l (b c)**l d**(n-l) L / (a**l + b**l), so the
+    value is 2 b**n S / ((b-a)**n d**n L).  It reads no E-table, so it stays
+    an oracle independent of the recurrence.
+    """
+    a, b = q.numerator, q.denominator
+    c, d = (a**x, b**x) if x >= 0 else (b**-x, a**-x)
+    sums = [a**l + b**l for l in range(n + 1)]
+    lcm = math.lcm(*sums)
+    bc, total, power = b * c, 0, 1  # power = (-b c)**l
+    for l, s in enumerate(sums):
+        total += math.comb(n, l) * power * d ** (n - l) * (lcm // s)
+        power *= -bc
+    return Fraction(2 * b**n * total, (b - a) ** n * d**n * lcm)
 
 
 def _reject_poles(q: Fraction) -> Fraction:
@@ -244,23 +271,25 @@ def euler_poly(n: int, x: int, q) -> Fraction:
 def euler_poly_closed(n: int, x: int, q) -> Fraction:
     """E_n(x) via the closed sum 2 (1-q)**-n sum_l C(n,l) (-1)**l q**(l x) / (1+q**l).
 
-    A second, independent route used to cross-check ``euler_poly``.
+    A second, independent route used to cross-check ``euler_poly``; it
+    shares the integer kernel ``_closed_sum`` with ``euler_closed``.
     """
     q = _reject_poles(to_rational(q))
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     if q == 0 and x < 0:
         raise DomainError("negative x requires q != 0")
-    s = sum(
-        Fraction(binomial_coeff(n, l) * (-1) ** l) * q ** (l * x) / (1 + q**l)
-        for l in range(n + 1)
-    )
-    return 2 * s / (1 - q) ** n
+    return _closed_sum(n, x, q)
 
 
 def euler_poly_real(n: int, x: float, q: float) -> float:
     """Floating overload of ``euler_poly`` for real x; needs a finite q > 0,
-    q != 1, and an x that is not nan."""
+    q != 1, and an x that is not nan.
+
+    An infinite x gives the limit where it exists: q**x -> 0 leaves
+    (1-q)**-n (x = +inf at q < 1, x = -inf at q > 1), and E_0 = 1.  Where
+    q**x grows without bound, E_n(x) for n >= 1 diverges: ``DomainError``.
+    """
     require_real_domain(x, q)
     if q == 1:
         raise DomainError("the floating path needs q != 1")
@@ -270,6 +299,12 @@ def euler_poly_real(n: int, x: float, q: float) -> float:
         # The recurrence below loses all precision for q > 1; the reflection
         # E_{n,q}(x) = (-q)**-n E_{n,1/q}(1-x) keeps it at 1/q < 1.
         return euler_poly_real(n, 1.0 - x, 1.0 / q) / (-q) ** n
+    if x == math.inf:
+        return (1.0 - q) ** -n
+    if x == -math.inf:
+        if n:
+            raise DomainError(f"E_{n}(x) diverges as q**x grows without bound")
+        return 1.0
     values = [1.0]
     for m in range(1, n + 1):
         acc = sum(binomial_coeff(m, l) * q**l * values[l] for l in range(m))
@@ -295,14 +330,22 @@ def shift_moment(shift: int, m: int, q) -> Fraction:
 
 def shift_moment_sum(shift: int, m: int, q) -> Fraction:
     """2 sum_{l < shift} (-1)**(shift-l-1) [l]_q**m, the boundary side of the
-    shift functional equation."""
+    shift functional equation.
+
+    With q = a/b, [l]_q = U_l / b**(l-1) for the integers U_0 = 0 and
+    U_(l+1) = b U_l + a**l, so the sum is
+    2 sum_l (-1)**(shift-l-1) U_l**m b**((shift-l) m) over b**((shift-1) m).
+    """
     if shift < 1:
         raise DomainError("shift must be a positive integer")
     q = to_rational(q)
-    return 2 * sum(
-        ((-1) ** (shift - l - 1) * q_number_int(l, q) ** m for l in range(shift)),
-        Fraction(0),
-    )
+    a, b = q.numerator, q.denominator
+    total, u = 0, 0
+    for l in range(shift):
+        term = u**m * b ** ((shift - l) * m)
+        total += -term if (shift - l) % 2 == 0 else term
+        u = b * u + a**l
+    return Fraction(2 * total, b ** ((shift - 1) * m))
 
 
 def reflection_check(n: int, x: int, q) -> tuple[Fraction, Fraction]:

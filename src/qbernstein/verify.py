@@ -20,10 +20,13 @@ Known-misprinted variants of several identities are yielded by a separate
 generator into the counterexample section, where they are expected to FAIL;
 an unexpectedly passing counterexample is treated as a suite violation.
 
-``run_verify_suite`` runs the selected suites in forked workers, one per
-available CPU and at most one per suite.  The suites share nothing but
-per-process caches, every identity id begins with its suite's name, and
-the report is sorted, so the report's bytes do not depend on the CPU count.
+``run_verify_suite`` runs the selected suites in workers, one per
+available CPU and at most one per suite: the calling process and forked
+children.  Each worker takes the suites one at a time from a shared queue,
+so which worker runs a suite varies from run to run.  The suites share
+nothing but per-process caches, every identity id begins with its suite's
+name, and the report is sorted, so the report's bytes depend neither on
+the CPU count nor on which worker ran which suite.
 
 The report's bytes are ``json.dumps(report.to_dict(), indent=2)`` and a
 newline.  ``IdentityReport.to_json`` writes them without the pure-Python
@@ -281,6 +284,17 @@ def _on_grid(identity_id, params, triples, tol, relative=False):
     return identity_id, {**params, "x": x}, float(lhs), float(rhs), abs(lhs - rhs) <= bound
 
 
+def _bridge_rhs(m: int, n: int, u: Fraction) -> Fraction:
+    """sum_k C(n,k) u**k k! S(m,k), the Stirling side of the operator bridge,
+    built as sum_k C(n,k) s**k t**(n-k) k! S(m,k) over t**n for u = s/t."""
+    s, t = u.numerator, u.denominator
+    total = sum(
+        math.comb(n, k) * s**k * t ** (n - k) * math.factorial(k) * stirling2(m, k)
+        for k in range(n + 1)
+    )
+    return Fraction(total, t**n)
+
+
 def _operators_agree(tag: str, vec, us):
     for u in us:
         direct = qb.operator_apply(vec, u, "direct")
@@ -333,10 +347,7 @@ def _suite_bernstein(cfg: VerifyConfig):
                 continue
             for u in us:
                 lhs = n**m * qb.operator_apply(samples, u)
-                rhs = sum(
-                    binomial_coeff(n, k) * u**k * math.factorial(k) * stirling2(m, k)
-                    for k in range(n + 1)
-                )
+                rhs = _bridge_rhs(m, n, u)
                 yield "bernstein.operator_stirling_bridge", {"m": m, "n": n, "u": u}, lhs, rhs
     for i, vec in enumerate(operator_vectors):
         yield from _operators_agree(f"random#{i},n={len(vec) - 1}", vec, us)
@@ -594,9 +605,15 @@ _SUITE_FUNCS = {
 }
 
 
-def _run_group(cfg: VerifyConfig, names: tuple[str, ...]) -> tuple[list, list]:
-    """The entries and the counterexamples of the suites ``names``."""
-    entries = [_entry(check) for name in names for check in _SUITE_FUNCS[name](cfg)]
+def _run_queue(cfg: VerifyConfig, queue_fd: int) -> tuple[list, list]:
+    """Take suites from the queue one at a time until it is empty, each a
+    byte that indexes ``SUITES``; the entries of the suites taken, and their
+    counterexamples."""
+    entries, names = [], []
+    while index := os.read(queue_fd, 1):
+        name = SUITES[index[0]]
+        names.append(name)
+        entries += map(_entry, _SUITE_FUNCS[name](cfg))
     counterexamples = []
     if cfg.include_printed_counterexamples:
         counterexamples = [_entry(check) for check in _printed_counterexamples(names)]
@@ -614,9 +631,9 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_group(cfg: VerifyConfig, names: tuple[str, ...]) -> tuple[int, int]:
-    """Run the suites ``names`` in a forked child.  Returns its pid and the
-    read end of a pipe that carries the pickled ``(True, (entries,
+def _fork_worker(cfg: VerifyConfig, queue_fd: int) -> tuple[int, int]:
+    """Take suites from the queue in a forked child.  Returns its pid and
+    the read end of a pipe that carries the pickled ``(True, (entries,
     counterexamples))``, or ``(False, exception)`` if a suite raised."""
     import pickle  # here, not above: every `qb` command imports this module
 
@@ -632,7 +649,7 @@ def _fork_group(cfg: VerifyConfig, names: tuple[str, ...]) -> tuple[int, int]:
     try:
         os.close(read_fd)
         try:
-            result = (True, _run_group(cfg, names))
+            result = (True, _run_queue(cfg, queue_fd))
         except BaseException as exc:
             result = (False, exc)
         payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
@@ -659,15 +676,13 @@ def _reap(pid: int, read_fd: int) -> int:
     return os.waitpid(pid, 0)[1]
 
 
-def _unpack(names: tuple[str, ...], payload: bytes, status: int) -> tuple[list, list]:
+def _unpack(payload: bytes, status: int) -> tuple[list, list]:
     """A child's entries and counterexamples; raises what its suites raised."""
     import pickle
 
     if not payload:
         code = os.waitstatus_to_exitcode(status)
-        raise RuntimeError(
-            f"the worker for suites {', '.join(names)} ended without a result (exit code {code})"
-        )
+        raise RuntimeError(f"a verify worker ended without a result (exit code {code})")
     ok, result = pickle.loads(payload)
     if not ok:
         raise result
@@ -679,27 +694,34 @@ def run_verify_suite(config: VerifyConfig | None = None) -> IdentityReport:
     sorted report.  Deterministic: identical configs produce identical
     reports (the operator sample vectors come from a fixed-seed generator).
 
-    The selected suites are dealt round-robin into one group per available
-    CPU, at most one per suite.  This process runs the first group; each
-    other group runs in a forked child and pipes its entries back.  Every
-    identity id begins with its suite's name and the report is sorted, so
-    its bytes do not depend on the number of CPUs.
+    The selected suites wait in a queue: a pipe holding one byte per suite,
+    whose write end is closed before any fork.  There is one worker per
+    available CPU, at most one per suite: this process and forked children,
+    which pipe their entries back.  Each worker takes the next suite when it
+    has finished the last, until the queue is empty, so the suites spread
+    by what they cost, and which worker runs a suite varies from run to
+    run.  Every identity id begins with its suite's name and the report is
+    sorted, so its bytes depend neither on that nor on the number of CPUs.
     """
     cfg = config if config is not None else VerifyConfig()
     selected = SUITES if cfg.suite == "all" else (cfg.suite,)
-    workers = min(_cpu_count(), len(selected))
-    groups = [selected[i::workers] for i in range(workers)]
+    queue_fd, write_fd = os.pipe()
     children = []
     try:
-        for names in groups[1:]:
-            children.append(_fork_group(cfg, names))
-        entries, counterexamples = _run_group(cfg, groups[0])
+        try:
+            os.write(write_fd, bytes(SUITES.index(name) for name in selected))
+        finally:
+            os.close(write_fd)  # an empty queue then reads as end of file
+        for _ in range(min(_cpu_count(), len(selected)) - 1):
+            children.append(_fork_worker(cfg, queue_fd))
+        entries, counterexamples = _run_queue(cfg, queue_fd)
         payloads = [_read(read_fd) for _, read_fd in children]
     finally:
         # On success every child has closed its pipe; after an exception
         # the children are killed unread.
+        os.close(queue_fd)
         statuses = [_reap(*child) for child in children]
-    for child_entries, child_counterexamples in map(_unpack, groups[1:], payloads, statuses):
+    for child_entries, child_counterexamples in map(_unpack, payloads, statuses):
         entries += child_entries
         counterexamples += child_counterexamples
     return IdentityReport(entries=entries, counterexamples=counterexamples)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -423,17 +424,16 @@ class TestVerifyCommand:
         assert "q = 1/2 is repeated" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_domain_error_in_a_suite_exits_alike_in_any_worker(self, workers, monkeypatch, capsys):
-        # at 2 CPUs the stirling suite runs in a forked child
-        def failing_suite(cfg):
-            raise DomainError("stirling went wrong")
-            yield
+    @pytest.mark.parametrize("workers, side", [(1, "in_parent"), (2, "in_parent"), (2, "in_child")])
+    def test_domain_error_in_a_suite_exits_alike_in_any_worker(
+        self, workers, side, stub_suites, capsys
+    ):
+        def fail(name):
+            raise DomainError(f"{name} went wrong")
 
-        monkeypatch.setattr(qbernstein.verify, "_cpu_count", lambda: workers)
-        monkeypatch.setitem(qbernstein.verify._SUITE_FUNCS, "stirling", failing_suite)
+        stub_suites(workers, **{side: fail})
         assert main(["verify", "--q", "1/2", "--nmax", "1", "--smax", "1", "--kmax", "0"]) == 3
-        assert "domain error: stirling went wrong" in capsys.readouterr().err
+        assert re.search(r"domain error: \w+ went wrong", capsys.readouterr().err)
 
     def test_raised_nmax_run_passes(self, capsys):
         assert main(["verify", "--suite", "bernstein", "--q", "1/2", "--nmax", "20"]) == 0

@@ -75,6 +75,16 @@ class TestEulerTable:
         for q in SAMPLE_QS:
             assert euler_table(q, 15).check_recurrence()
 
+    @pytest.mark.parametrize(
+        "q", [Fraction(1, 2), Fraction(5, 4), Fraction(-7, 3), Fraction(1)], ids=str
+    )
+    def test_recurrence_check_catches_each_perturbed_entry(self, q):
+        values = euler_table(q, 12).values
+        for i in range(1, len(values)):
+            for delta in (Fraction(1, 7), Fraction(-1, 10**30)):
+                perturbed = values[:i] + (values[i] + delta,) + values[i + 1 :]
+                assert EulerTable(q, perturbed).check_recurrence() is False
+
     def test_extension_is_immutable(self):
         table = euler_table(Fraction(3, 5), 4)
         longer = table.extend(9)
@@ -164,6 +174,23 @@ class TestEulerPoly:
             for x in range(-2, 4):
                 exact = float(euler_poly(n, x, q))
                 assert euler_poly_real(n, float(x), float(q)) == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_real_overload_takes_the_limit_at_infinite_x(self, q):
+        # q**x -> 0 leaves (1-q)**-n: x -> +inf at q < 1, x -> -inf at 1/q > 1
+        for n in range(8):
+            assert euler_poly_real(n, math.inf, q) == pytest.approx((1 - q) ** -n)
+            assert euler_poly_real(n, 400.0, q) == pytest.approx((1 - q) ** -n)
+            assert euler_poly_real(n, -math.inf, 1 / q) == pytest.approx((1 - 1 / q) ** -n)
+            assert euler_poly_real(n, -400.0, 1 / q) == pytest.approx((1 - 1 / q) ** -n)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 1.5, 3.0])
+    def test_real_overload_diverges_where_q_to_the_x_grows(self, q):
+        x = -math.inf if q < 1 else math.inf
+        assert euler_poly_real(0, x, q) == 1.0
+        for n in range(1, 8):
+            with pytest.raises(DomainError, match="diverges"):
+                euler_poly_real(n, x, q)
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):

@@ -24,13 +24,16 @@ from qbernstein.euler import (
     complement_moment,
     euler_closed,
     euler_poly,
+    euler_poly_closed,
     euler_table,
     fermionic_sum,
+    shift_moment_sum,
 )
 from qbernstein.kernel import DomainError, padic_valuation
-from qbernstein.qcore import gaussian_binomial, q_factorial, q_number_int
+from qbernstein.qcore import gaussian_binomial, q_factorial, q_number_int, stirling2
 from qbernstein.stirling import q_stirling2
 from qbernstein.upoly import UPoly
+from qbernstein.verify import _bridge_rhs
 
 # -- E-table ------------------------------------------------------------------
 
@@ -610,6 +613,76 @@ def test_reflected_moment_kernel_matches_reference(q, k, pairs):
     assert integrals._reflected(k, tuple(pairs), q) == _ref_reflected(k, pairs, q)
 
 
+# -- closed forms, the shift sum and the recurrence check ---------------------------
+
+
+def _ref_poly_closed(n, x, q):
+    """The term-by-term Fraction loop the integer closed-form kernel replaced."""
+    s = sum(
+        Fraction(math.comb(n, l) * (-1) ** l) * q ** (l * x) / (1 + q**l) for l in range(n + 1)
+    )
+    return 2 * s / (1 - q) ** n
+
+
+def _ref_closed(n, q):
+    s = sum(Fraction(math.comb(n, l) * (-1) ** l) / (1 + q**l) for l in range(n + 1))
+    return 2 * s / (1 - q) ** n
+
+
+@given(_q_table, st.integers(0, 24), st.integers(-3, 4))
+@example(Fraction(0), 24, 4)
+@example(Fraction(0), 5, 0)
+@example(Fraction(-7, 3), 24, -3)
+@example(Fraction(5, 4), 24, 4)
+def test_closed_forms_match_the_term_by_term_loop(q, n, x):
+    assert euler_closed(n, q) == _ref_closed(n, q)
+    if q == 0 and x < 0:
+        with pytest.raises(DomainError):
+            euler_poly_closed(n, x, q)
+    else:
+        assert euler_poly_closed(n, x, q) == _ref_poly_closed(n, x, q)
+
+
+def test_closed_forms_share_nothing_with_the_e_table(monkeypatch):
+    cases = [(n, x, q) for q in (Fraction(2, 3), Fraction(-7, 3)) for n in (0, 7) for x in (-2, 3)]
+    want = [(_ref_closed(n, q), _ref_poly_closed(n, x, q)) for n, x, q in cases]
+
+    def no_prefix(*args):
+        raise AssertionError("the E-table prefix was read")
+
+    monkeypatch.setattr(euler, "_prefix", no_prefix)
+    assert [(euler_closed(n, q), euler_poly_closed(n, x, q)) for n, x, q in cases] == want
+
+
+def _ref_shift_moment_sum(shift, m, q):
+    return 2 * sum(((-1) ** (shift - l - 1) * _ref_q_number(l, q) ** m for l in range(shift)), Fraction(0))
+
+
+@given(_q, st.integers(1, 6), st.integers(0, 9))
+def test_shift_moment_sum_matches_the_term_by_term_loop(q, shift, m):
+    assert shift_moment_sum(shift, m, q) == _ref_shift_moment_sum(shift, m, q)
+
+
+def _ref_check_recurrence(table):
+    """The Fraction loop that ``check_recurrence`` replaced."""
+    q = table.q
+    for n in range(1, len(table)):
+        s = sum(math.comb(n, l) * q**l * table[l] for l in range(n + 1))
+        if s + table[n] != 0:
+            return False
+    return True
+
+
+@given(_q_not_minus_one, st.integers(1, 16), st.data())
+def test_recurrence_check_matches_the_fraction_loop(q, nmax, data):
+    values = list(euler_table(q, nmax).values)
+    if data.draw(st.booleans(), label="perturb"):
+        i = data.draw(st.integers(1, nmax), label="i")
+        values[i] += data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=50), label="by")
+    table = EulerTable(q, tuple(values))
+    assert table.check_recurrence() == _ref_check_recurrence(table)
+
+
 # -- Bernstein evaluation and operator routes ----------------------------------------
 
 _u = st.fractions(min_value=-4, max_value=4, max_denominator=11)
@@ -664,3 +737,12 @@ def test_basis_upoly_matches_reference(k, n):
 @given(vals=_samples, u=_u)
 def test_operator_routes_match_reference(method, vals, u):
     assert operator_apply(vals, u, method) == _ref_operator(vals, u, method)
+
+
+@given(st.integers(0, 7), st.integers(0, 12), _u)
+def test_operator_bridge_side_matches_the_fraction_sum(m, n, u):
+    want = sum(
+        (math.comb(n, k) * u**k * math.factorial(k) * stirling2(m, k) for k in range(n + 1)),
+        Fraction(0),
+    )
+    assert _bridge_rhs(m, n, u) == want

@@ -47,7 +47,7 @@ def test_import_of_the_cli_loads_no_dataclasses_or_csv():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     loaded = set(proc.stdout.split())
     assert "qbernstein.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "pickle", "signal"}
 
 
 def test_verify_config_defaults():

@@ -68,10 +68,10 @@ def test_report_bytes_match_golden_digest(name, tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_bytes_do_not_depend_on_the_cpu_count(name, workers, tmp_path, capsys, monkeypatch):
-    # one group of suites per CPU: all in process at 1, forked children above
+    # one worker per CPU: all in process at 1, forked children taking suites from the queue above
     monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
     argv, digest = GOLDEN[name]
     out = tmp_path / "report.json"

@@ -169,66 +169,90 @@ def test_writer_bytes_on_the_full_default_report():
 # -- suites in forked workers --------------------------------------------------
 
 
-def _stub_suites(monkeypatch, workers, **actions):
-    """Replace every suite by one passing check, or by ``actions[name]``,
-    which runs before the check; suites are dealt into ``workers`` groups,
-    so at 2 the parent runs bernstein and integrals, a child euler and
-    stirling."""
-    monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
-    for name in SUITES:
-
-        def suite(cfg, name=name):
-            if name in actions:
-                actions[name]()
-            yield f"{name}.stub", {"q": cfg.qs[0]}, 1, 1
-
-        monkeypatch.setitem(verify._SUITE_FUNCS, name, suite)
-
-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def _raise(exc):
-    def action():
+    def action(name):
         raise exc
 
     return action
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_stubbed_suites_merge_into_one_report(workers, monkeypatch):
-    _stub_suites(monkeypatch, workers)
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_stubbed_suites_merge_into_one_report(workers, stub_suites):
+    stub_suites(workers)
     report = run_verify_suite(VerifyConfig())
     assert [e.identity_id for e in report.entries] == [f"{name}.stub" for name in SUITES]
+    pids = {e.params["pid"] for e in report.entries}
+    if workers == 1:
+        assert pids == {str(os.getpid())}
+    else:
+        assert str(os.getpid()) in pids and 2 <= len(pids) <= workers
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("exc_type", [DomainError, RuntimeError])
-def test_child_exception_is_raised_again_in_the_parent(exc_type, monkeypatch):
-    _stub_suites(monkeypatch, 2, stirling=_raise(exc_type("stirling went wrong")))
+def test_child_exception_is_raised_again_in_the_parent(exc_type, stub_suites):
+    stub_suites(2, in_child=_raise(exc_type("a child went wrong")))
     with pytest.raises(exc_type) as info:
         run_verify_suite(VerifyConfig())
     assert type(info.value) is exc_type
-    assert str(info.value) == "stirling went wrong"
+    assert str(info.value) == "a child went wrong"
     _assert_no_child_left()
 
 
-def test_child_that_dies_without_a_result_is_named(monkeypatch):
-    _stub_suites(monkeypatch, 2, euler=lambda: os._exit(7))
-    with pytest.raises(RuntimeError, match=r"suites euler, stirling .*exit code 7"):
+def test_child_that_dies_without_a_result_is_reported(stub_suites):
+    stub_suites(2, in_child=lambda name: os._exit(7))
+    with pytest.raises(RuntimeError, match=r"a verify worker ended without a result \(exit code 7\)"):
         run_verify_suite(VerifyConfig())
     _assert_no_child_left()
 
 
-def test_children_are_killed_when_the_parent_group_raises(monkeypatch):
-    parent_fails = _raise(RuntimeError("parent failed"))
-    _stub_suites(monkeypatch, 4, bernstein=parent_fails, euler=lambda: time.sleep(60))
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="parent failed"):
-        run_verify_suite(VerifyConfig())
-    assert time.monotonic() - start < 30  # killed, not waited for
+def test_children_are_killed_when_the_parent_raises(stub_suites):
+    never_r, never_w = os.pipe()  # never written: a child reading it blocks until killed
+    try:
+        stub_suites(
+            4,
+            in_parent=_raise(RuntimeError("parent failed")),
+            in_child=lambda name: os.read(never_r, 1),
+        )
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent failed"):
+            run_verify_suite(VerifyConfig())
+        assert time.monotonic() - start < 30  # killed, not waited for
+    finally:
+        os.close(never_r)
+        os.close(never_w)
+    _assert_no_child_left()
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+_FAILURES = {
+    "none": {},
+    "parent raises": {"in_parent": _raise(RuntimeError("parent failed"))},
+    "child raises": {"in_child": _raise(DomainError("child failed"))},
+    "child dies": {"in_child": lambda name: os._exit(7)},
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_no_pipe_is_left_open(failure, workers, stub_suites):
+    stub_suites(workers, **_FAILURES[failure])
+    before = _open_fds()
+    if failure == "none" or workers == 1 and "in_child" in _FAILURES[failure]:
+        assert run_verify_suite(VerifyConfig()).ok
+    else:
+        with pytest.raises((RuntimeError, DomainError)):
+            run_verify_suite(VerifyConfig())
+    assert _open_fds() == before
     _assert_no_child_left()
 
 
