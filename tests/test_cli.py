@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import qbernstein.cli
 import qbernstein.tables
-import qbernstein.verify
 from qbernstein.cli import (
     BERNSTEIN_NMAX_LIMIT,
     EULER_NMAX_LIMIT,
