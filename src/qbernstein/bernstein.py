@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .kernel import DomainError, binomial_coeff, require_real_domain, to_rational
-from .qcore import forward_differences, q_number_real
+from .qcore import forward_differences, forward_differences_binomial, q_number_real
 from .upoly import UPoly
 
 __all__ = [
@@ -186,11 +186,11 @@ def operator_apply(samples, u, method: str = "direct") -> Fraction:
     ``samples`` holds f(0/n)..f(n/n).  Three algebraically equivalent routes
     are implemented so they can cross-check each other: ``direct`` sums
     against the basis, ``monomial`` expands in powers of u with alternating
-    inner sums, ``difference`` contracts the inner sums to forward
-    differences of the samples.  Every route runs on the integers
-    F_k = L f(k/n), with L the least common denominator of the samples, and
-    on u = s/t; its sum is L t**n times the value, and one Fraction is
-    built at the end.
+    inner sums (``forward_differences_binomial``), ``difference`` contracts
+    the inner sums to iterated forward differences of the samples.  Every
+    route runs on the integers F_k = L f(k/n), with L the least common
+    denominator of the samples, and on u = s/t; its sum is L t**n times the
+    value, and one Fraction is built at the end.
     """
     vals = [to_rational(s) for s in samples]
     if not vals:
@@ -210,15 +210,9 @@ def operator_apply(samples, u, method: str = "direct") -> Fraction:
             f * math.comb(n, k) * spow[k] * wpow[n - k] for k, f in enumerate(ints)
         )
     else:
-        if method == "monomial":
-            deltas = [
-                sum(math.comb(m, k) * (-1) ** (m - k) * ints[k] for k in range(m + 1))
-                for m in range(n + 1)
-            ]
-        else:
-            deltas = forward_differences(ints)
+        differences = forward_differences_binomial if method == "monomial" else forward_differences
         total = sum(
-            math.comb(n, m) * spow[m] * tpow[n - m] * d for m, d in enumerate(deltas)
+            math.comb(n, m) * spow[m] * tpow[n - m] * d for m, d in enumerate(differences(ints))
         )
     return Fraction(total, lcd * tpow[n])
 

@@ -20,7 +20,13 @@ from pathlib import Path
 
 from .bernstein import basis_eval_exact, basis_eval_real, monomial_samples, operator_eval_real
 from .euler import euler_number, fermionic_sum
-from .kernel import DomainError, format_rational, is_odd_prime, padic_valuation, parse_rational
+from .kernel import (
+    DomainError,
+    format_rational,
+    padic_valuation,
+    parse_rational,
+    require_padic_convergence,
+)
 from .tables import emit_table, render_rows
 from .verify import DEFAULT_QS, SUITES, IdentityReport, VerifyConfig, run_verify_suite
 
@@ -333,8 +339,7 @@ def _cmd_padic(args) -> int:
     if args.levels < 1:
         raise _UsageError("--levels must be >= 1")
     _check_euler_work("--n", args.n, args.q)
-    if not is_odd_prime(args.p):
-        raise DomainError(f"p must be an odd prime, got {args.p}")
+    require_padic_convergence(args.q, args.p, args.levels)
     work = 0
     for level in range(1, args.levels + 1):
         work += args.p**level * max(args.n, 1) * _q_bits(args.q)

@@ -205,12 +205,7 @@ def euler_closed(n: int, q) -> Fraction:
     Independent of the recurrence route (see ``_closed_sum``); q = 1 and
     q = -1 are genuine poles here and are rejected.
     """
-    q = to_rational(q)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    if q == 1 or q == -1:
-        raise DomainError("q = 1 and q = -1 are poles of the closed form")
-    return _closed_sum(n, 0, q)
+    return euler_poly_closed(n, 0, q)
 
 
 def _closed_sum(n: int, x: int, q: Fraction) -> Fraction:
@@ -271,10 +266,12 @@ def euler_poly(n: int, x: int, q) -> Fraction:
 def euler_poly_closed(n: int, x: int, q) -> Fraction:
     """E_n(x) via the closed sum 2 (1-q)**-n sum_l C(n,l) (-1)**l q**(l x) / (1+q**l).
 
-    A second, independent route used to cross-check ``euler_poly``; it
-    shares the integer kernel ``_closed_sum`` with ``euler_closed``.
+    A second, independent route used to cross-check ``euler_poly``; at
+    x = 0 it is ``euler_closed``.  q = 1 and q = -1 are poles.
     """
-    q = _reject_poles(to_rational(q))
+    q = to_rational(q)
+    if q == 1 or q == -1:
+        raise DomainError("q = 1 and q = -1 are poles of the closed form")
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     if q == 0 and x < 0:
@@ -286,15 +283,19 @@ def euler_poly_real(n: int, x: float, q: float) -> float:
     """Floating overload of ``euler_poly`` for real x; needs a finite q > 0,
     q != 1, and an x that is not nan.
 
-    An infinite x gives the limit where it exists: q**x -> 0 leaves
-    (1-q)**-n (x = +inf at q < 1, x = -inf at q > 1), and E_0 = 1.  Where
-    q**x grows without bound, E_n(x) for n >= 1 diverges: ``DomainError``.
+    E_0(x) = 1 for every x.  An infinite x gives the limit where it exists:
+    q**x -> 0 leaves (1-q)**-n (x = +inf at q < 1, x = -inf at q > 1).
+    Where q**x grows without bound, E_n(x) for n >= 1 diverges:
+    ``DomainError``.  At a finite x where q**x or [x]_q**n overflows, E_n(x)
+    for n >= 1 is itself past the float range: ``OverflowError``.
     """
     require_real_domain(x, q)
     if q == 1:
         raise DomainError("the floating path needs q != 1")
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        return 1.0
     if q > 1:
         # The recurrence below loses all precision for q > 1; the reflection
         # E_{n,q}(x) = (-q)**-n E_{n,1/q}(1-x) keeps it at 1/q < 1.
@@ -302,9 +303,7 @@ def euler_poly_real(n: int, x: float, q: float) -> float:
     if x == math.inf:
         return (1.0 - q) ** -n
     if x == -math.inf:
-        if n:
-            raise DomainError(f"E_{n}(x) diverges as q**x grows without bound")
-        return 1.0
+        raise DomainError(f"E_{n}(x) diverges as q**x grows without bound")
     values = [1.0]
     for m in range(1, n + 1):
         acc = sum(binomial_coeff(m, l) * q**l * values[l] for l in range(m))

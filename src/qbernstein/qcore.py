@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .kernel import DomainError, binomial_coeff, require_real_domain, to_rational
+from .kernel import DomainError, require_real_domain, to_rational
 from .upoly import UPoly
 
 __all__ = [
@@ -138,20 +138,20 @@ def forward_differences(samples) -> list[Fraction | int]:
     return out
 
 
-def forward_differences_binomial(samples) -> list[Fraction]:
+def forward_differences_binomial(samples) -> list[Fraction | int]:
     """The same values via the alternating binomial sum
     delta^k f(0) = sum_j C(k,j) (-1)**(k-j) f(j).
 
     Kept as an independent route so the iterated computation can be
-    cross-checked against it.
+    cross-checked against it.  Integer samples stay integers, as in
+    ``forward_differences``.
     """
-    vals = [to_rational(s) for s in samples]
+    vals = [s if type(s) is int else to_rational(s) for s in samples]
     if not vals:
         raise DomainError("samples must be nonempty")
-    n = len(vals) - 1
     return [
-        sum((binomial_coeff(k, j) * (-1) ** (k - j) * vals[j] for j in range(k + 1)), Fraction(0))
-        for k in range(n + 1)
+        sum(math.comb(k, j) * (-1) ** (k - j) * vals[j] for j in range(k + 1))
+        for k in range(len(vals))
     ]
 
 
@@ -162,7 +162,4 @@ def stirling2(m: int, k: int) -> int:
     """
     if m < 0 or k < 0:
         raise DomainError("indices must be nonnegative")
-    samples = [t**m for t in range(k + 1)]
-    for _ in range(k):
-        samples = [b - a for a, b in zip(samples, samples[1:])]
-    return samples[0] // math.factorial(k)
+    return forward_differences([t**m for t in range(k + 1)])[k] // math.factorial(k)

@@ -65,6 +65,7 @@ from .kernel import (
     binomial_coeff,
     format_rational,
     padic_valuation,
+    to_rational,
 )
 from .qcore import gaussian_binomial, stirling2
 from .upoly import UPoly
@@ -106,15 +107,17 @@ class VerifyConfig(FrozenRecord):
         kmax: int = 2,
         include_printed_counterexamples: bool = False,
     ):
+        qs = tuple(to_rational(q) for q in qs)
         self._init(suite, qs, nmax, smax, kmax, include_printed_counterexamples)
         if suite != "all" and suite not in SUITES:
             raise DomainError(f"unknown suite: {suite!r}")
         if not qs:
             raise DomainError("the q sample set must be nonempty")
-        values = [Fraction(q) for q in qs]
-        for i, q in enumerate(values):
-            if q in values[:i]:
+        for i, q in enumerate(qs):
+            if q in qs[:i]:
                 raise DomainError(f"q = {format_rational(q)} is repeated in the q sample set")
+        if not all(isinstance(bound, int) for bound in (nmax, smax, kmax)):
+            raise DomainError(f"the bounds must be integers: {nmax=}, {smax=}, {kmax=}")
         if not 1 <= nmax <= NMAX_CAP:
             raise DomainError(f"nmax must lie in 1..{NMAX_CAP}")
         if not 1 <= smax <= 3:
@@ -605,19 +608,13 @@ _SUITE_FUNCS = {
 }
 
 
-def _run_queue(cfg: VerifyConfig, queue_fd: int) -> tuple[list, list]:
+def _run_queue(cfg: VerifyConfig, queue_fd: int) -> list:
     """Take suites from the queue one at a time until it is empty, each a
-    byte that indexes ``SUITES``; the entries of the suites taken, and their
-    counterexamples."""
-    entries, names = [], []
+    byte that indexes ``SUITES``; the entries of the suites taken."""
+    entries = []
     while index := os.read(queue_fd, 1):
-        name = SUITES[index[0]]
-        names.append(name)
-        entries += map(_entry, _SUITE_FUNCS[name](cfg))
-    counterexamples = []
-    if cfg.include_printed_counterexamples:
-        counterexamples = [_entry(check) for check in _printed_counterexamples(names)]
-    return entries, counterexamples
+        entries += map(_entry, _SUITE_FUNCS[SUITES[index[0]]](cfg))
+    return entries
 
 
 def _cpu_count() -> int:
@@ -633,8 +630,8 @@ def _cpu_count() -> int:
 
 def _fork_worker(cfg: VerifyConfig, queue_fd: int) -> tuple[int, int]:
     """Take suites from the queue in a forked child.  Returns its pid and
-    the read end of a pipe that carries the pickled ``(True, (entries,
-    counterexamples))``, or ``(False, exception)`` if a suite raised."""
+    the read end of a pipe that carries the pickled list of entries, or the
+    exception a suite raised."""
     import pickle  # here, not above: every `qb` command imports this module
 
     read_fd, write_fd = os.pipe()
@@ -649,9 +646,9 @@ def _fork_worker(cfg: VerifyConfig, queue_fd: int) -> tuple[int, int]:
     try:
         os.close(read_fd)
         try:
-            result = (True, _run_queue(cfg, queue_fd))
+            result = _run_queue(cfg, queue_fd)
         except BaseException as exc:
-            result = (False, exc)
+            result = exc
         payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(payload)
@@ -676,15 +673,15 @@ def _reap(pid: int, read_fd: int) -> int:
     return os.waitpid(pid, 0)[1]
 
 
-def _unpack(payload: bytes, status: int) -> tuple[list, list]:
-    """A child's entries and counterexamples; raises what its suites raised."""
+def _unpack(payload: bytes, status: int) -> list:
+    """A child's entries; raises what its suites raised."""
     import pickle
 
     if not payload:
         code = os.waitstatus_to_exitcode(status)
         raise RuntimeError(f"a verify worker ended without a result (exit code {code})")
-    ok, result = pickle.loads(payload)
-    if not ok:
+    result = pickle.loads(payload)
+    if isinstance(result, BaseException):
         raise result
     return result
 
@@ -702,6 +699,8 @@ def run_verify_suite(config: VerifyConfig | None = None) -> IdentityReport:
     by what they cost, and which worker runs a suite varies from run to
     run.  Every identity id begins with its suite's name and the report is
     sorted, so its bytes depend neither on that nor on the number of CPUs.
+    The printed counterexamples are built here, once the queue is empty,
+    while the children may still run.
     """
     cfg = config if config is not None else VerifyConfig()
     selected = SUITES if cfg.suite == "all" else (cfg.suite,)
@@ -714,14 +713,16 @@ def run_verify_suite(config: VerifyConfig | None = None) -> IdentityReport:
             os.close(write_fd)  # an empty queue then reads as end of file
         for _ in range(min(_cpu_count(), len(selected)) - 1):
             children.append(_fork_worker(cfg, queue_fd))
-        entries, counterexamples = _run_queue(cfg, queue_fd)
+        entries = _run_queue(cfg, queue_fd)
+        counterexamples = []
+        if cfg.include_printed_counterexamples:
+            counterexamples = [_entry(check) for check in _printed_counterexamples(selected)]
         payloads = [_read(read_fd) for _, read_fd in children]
     finally:
         # On success every child has closed its pipe; after an exception
         # the children are killed unread.
         os.close(queue_fd)
         statuses = [_reap(*child) for child in children]
-    for child_entries, child_counterexamples in map(_unpack, payloads, statuses):
+    for child_entries in map(_unpack, payloads, statuses):
         entries += child_entries
-        counterexamples += child_counterexamples
     return IdentityReport(entries=entries, counterexamples=counterexamples)

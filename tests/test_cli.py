@@ -335,6 +335,17 @@ class TestPadicCommand:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "1,1,inf"
 
+    @pytest.mark.parametrize("q", ["2", "1/3", "-1"])
+    def test_regime_is_checked_before_any_work(self, q, monkeypatch, capsys):
+        def no_work(*a):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(qbernstein.cli, "fermionic_sum", no_work)
+        monkeypatch.setattr(qbernstein.cli, "euler_number", no_work)
+        assert main(["padic", "--p", "3", f"--q={q}", "--n", "300", "--levels", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "domain error: need |q|_p <= 1 and |1-q|_p < 1 for p-adic convergence\n"
+
     def test_bad_prime(self):
         assert run_cli("padic", "--p", "4", "--n", "1").returncode == 3
 

@@ -137,11 +137,14 @@ class TestClosedForm:
             for n in range(10):
                 assert euler_number(n, q) == _closed_form_oracle(n, q)
 
-    def test_poles_rejected(self):
-        with pytest.raises(DomainError):
-            euler_closed(2, Fraction(1))
-        with pytest.raises(DomainError):
-            euler_closed(2, Fraction(-1))
+    @pytest.mark.parametrize("q", [Fraction(1), Fraction(-1)], ids=str)
+    def test_poles_rejected(self, q):
+        message = "^q = 1 and q = -1 are poles of the closed form$"
+        for n in (0, 2):
+            with pytest.raises(DomainError, match=message):
+                euler_closed(n, q)
+            with pytest.raises(DomainError, match=message):
+                euler_poly_closed(n, 1, q)
 
 
 class TestEulerPoly:
@@ -191,6 +194,14 @@ class TestEulerPoly:
         for n in range(1, 8):
             with pytest.raises(DomainError, match="diverges"):
                 euler_poly_real(n, x, q)
+
+    def test_real_overload_past_the_float_range_at_a_finite_x(self):
+        # E_0(x) = 1 for every x; for n >= 1 the value itself overflows
+        assert euler_poly_real(0, -1e300, 0.5) == 1.0
+        with pytest.raises(OverflowError):
+            euler_poly_real(2, -1000.0, 0.5)
+        with pytest.raises(OverflowError):
+            euler_poly_real(3, 2000.0, 2.0)
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):

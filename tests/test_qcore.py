@@ -160,9 +160,18 @@ class TestForwardDifferences:
         with pytest.raises(DomainError):
             forward_differences_binomial([])
 
-    @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=1, max_size=8))
+    @given(
+        st.one_of(
+            st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=1, max_size=8),
+            st.lists(st.integers(-99, 99), min_size=1, max_size=8),
+        )
+    )
     def test_two_routes_agree(self, samples):
-        assert forward_differences(samples) == forward_differences_binomial(samples)
+        iterated, binomial = forward_differences(samples), forward_differences_binomial(samples)
+        assert iterated == binomial
+        if all(type(s) is int for s in samples):
+            # integer samples give integer differences from both routes
+            assert all(type(d) is int for d in iterated + binomial)
 
 
 class TestStirling2:

@@ -109,6 +109,19 @@ def test_config_validation():
     with pytest.raises(DomainError, match="q = 1/2 is repeated"):
         VerifyConfig(qs=(Fraction(1, 2), Fraction(3), Fraction(2, 4)))
     assert len(VerifyConfig(qs=(Fraction(1, 2), Fraction(-1, 2))).qs) == 2
+    # the q set is stored as validated: exact inputs become Fractions, and a
+    # float is refused before any suite runs
+    qs = VerifyConfig(qs=(3, "1/2")).qs
+    assert qs == (Fraction(3), Fraction(1, 2)) and all(type(q) is Fraction for q in qs)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        VerifyConfig(qs=(Fraction(1, 2), 0.5))
+    for bounds in ({"nmax": 2.5}, {"smax": 2.0}, {"kmax": "1"}):
+        with pytest.raises(DomainError, match="the bounds must be integers"):
+            VerifyConfig(**bounds)
+    cfg = {"suite": "euler", "nmax": 4, "smax": 1, "kmax": 0}
+    by_int = run_verify_suite(VerifyConfig(qs=(3,), **cfg))
+    assert by_int.ok
+    assert by_int.to_json() == run_verify_suite(VerifyConfig(qs=(Fraction(3),), **cfg)).to_json()
 
 
 def test_default_q_set():
@@ -253,6 +266,25 @@ def test_no_pipe_is_left_open(failure, workers, stub_suites):
         with pytest.raises((RuntimeError, DomainError)):
             run_verify_suite(VerifyConfig())
     assert _open_fds() == before
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_printed_counterexamples_are_built_once_in_this_process(workers, stub_suites, tmp_path, monkeypatch):
+    stub_suites(workers)
+    calls = tmp_path / "calls"
+    build = verify._printed_counterexamples
+
+    def recorded(suites):
+        with open(calls, "a") as f:  # a forked worker's call would show up here too
+            f.write(f"{os.getpid()}\n")
+        return build(suites)
+
+    monkeypatch.setattr(verify, "_printed_counterexamples", recorded)
+    report = run_verify_suite(VerifyConfig(include_printed_counterexamples=True))
+    assert calls.read_text() == f"{os.getpid()}\n"
+    assert report.ok and report.summary["counterexamples_failed_as_expected"] == 6
+    assert (len({e.params["pid"] for e in report.entries}) > 1) == (workers > 1)  # children ran suites
     _assert_no_child_left()
 
 
