@@ -16,6 +16,7 @@ import argparse
 import io
 import sys
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 from .bernstein import basis_eval_exact, basis_eval_real, monomial_samples, operator_eval_real
@@ -26,6 +27,7 @@ from .kernel import (
     padic_valuation,
     parse_rational,
     require_padic_convergence,
+    require_pole_free,
 )
 from .tables import emit_table, render_rows
 from .verify import DEFAULT_QS, SUITES, IdentityReport, VerifyConfig, run_verify_suite
@@ -87,20 +89,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run the identity verification suites")
-    p_verify.add_argument("--suite", choices=("all",) + SUITES, default="all")
+    # a flag left out stays out of args, so VerifyConfig's defaults apply
+    p_verify = sub.add_parser(
+        "verify", help="run the identity verification suites", argument_default=argparse.SUPPRESS
+    )
+    p_verify.add_argument("--suite", choices=("all",) + SUITES)
     p_verify.add_argument(
         "--q",
         action="append",
         type=_rational,
+        dest="qs",
         metavar="A/B",
-        help="rational sample value; repeatable (default: 1/2 2/3 3/5 5/4 3)",
+        help="rational sample value; repeatable "
+        f"(default: {' '.join(map(format_rational, DEFAULT_QS))})",
     )
-    p_verify.add_argument("--nmax", type=int, default=12)
-    p_verify.add_argument("--smax", type=int, default=3)
-    p_verify.add_argument("--kmax", type=int, default=2)
+    p_verify.add_argument("--nmax", type=int)
+    p_verify.add_argument("--smax", type=int)
+    p_verify.add_argument("--kmax", type=int)
     p_verify.add_argument("--include-printed-counterexamples", action="store_true")
-    p_verify.add_argument("--out", metavar="PATH", help="write the JSON report here")
+    p_verify.add_argument("--out", default=None, metavar="PATH", help="write the JSON report here")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_euler = sub.add_parser("euler", help="emit a table of E-numbers at one q")
@@ -145,20 +152,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    for q in args.q or ():
-        if q in (0, 1, -1):
-            raise DomainError(
-                f"q = {q} is a pole of the verified identities; q must avoid 0, 1 and -1"
-            )
+    # a pole exits 3, before VerifyConfig's other refusals (exit 2)
+    for q in getattr(args, "qs", ()):
+        require_pole_free(q)
     try:
-        cfg = VerifyConfig(
-            suite=args.suite,
-            qs=tuple(args.q) if args.q else DEFAULT_QS,
-            nmax=args.nmax,
-            smax=args.smax,
-            kmax=args.kmax,
-            include_printed_counterexamples=args.include_printed_counterexamples,
-        )
+        cfg = VerifyConfig(**{k: v for k, v in vars(args).items() if k in VerifyConfig.__slots__})
     except DomainError as exc:
         # bad bounds / empty q list are command-line usage problems
         raise _UsageError(str(exc)) from exc
@@ -178,13 +176,10 @@ def _cmd_verify(args) -> int:
 
 
 def _print_report(report: IdentityReport) -> None:
-    groups: dict[str, list[int]] = {}
-    for entry in report.entries:
-        passed, total = groups.setdefault(entry.identity_id, [0, 0])
-        groups[entry.identity_id][0] = passed + (entry.verdict == "pass")
-        groups[entry.identity_id][1] = total + 1
-    for identity_id in sorted(groups):
-        passed, total = groups[identity_id]
+    # the report keeps its entries sorted by identity id
+    for identity_id, group in groupby(report.entries, key=lambda e: e.identity_id):
+        verdicts = [entry.verdict for entry in group]
+        passed, total = verdicts.count("pass"), len(verdicts)
         marker = "" if passed == total else "   <-- FAIL"
         print(f"{identity_id:<44} {passed}/{total}{marker}")
     if report.counterexamples:

@@ -49,9 +49,9 @@ __all__ = [
 class EulerTable(FrozenRecord):
     """Memoized prefix E_0..E_N for one fixed rational q.
 
-    Immutable: extension returns a new, longer table.  q = -1 is impossible
-    (1 + q**n vanishes for odd n); q = 1 is allowed and gives the classical
-    Euler numbers.
+    Immutable: ``euler_table(q, n)`` builds a longer one from the cached
+    prefix.  q = -1 is impossible (1 + q**n vanishes for odd n); q = 1 is
+    allowed and gives the classical Euler numbers.
     """
 
     __slots__ = ("q", "values")
@@ -68,18 +68,6 @@ class EulerTable(FrozenRecord):
 
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]
-
-    @property
-    def nmax(self) -> int:
-        return len(self.values) - 1
-
-    def extend(self, nmax: int) -> "EulerTable":
-        """A table for the same q covering 0..nmax; self is unchanged."""
-        if nmax < 0:
-            raise DomainError(f"nmax must be nonnegative, got {nmax}")
-        if nmax <= self.nmax:
-            return EulerTable(self.q, self.values[: nmax + 1])
-        return euler_table(self.q, nmax)
 
     def check_recurrence(self) -> bool:
         """Re-verify every entry against the defining recurrence
@@ -249,10 +237,8 @@ def euler_poly(n: int, x: int, q) -> Fraction:
     q = _reject_poles(to_rational(q))
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    if q == 0 and x < 0:
-        raise DomainError("negative x requires q != 0")
+    ux = q_number_int(x, q)  # refuses a negative x at q = 0
     prefix = _prefix(q, n)
-    ux = q_number_int(x, q)
     a, b = q.numerator, q.denominator
     c, d = (a**x, b**x) if x >= 0 else (b**-x, a**-x)
     cv, du = c * ux.denominator, d * ux.numerator

@@ -10,6 +10,10 @@ u = [x]_q and reads off E-moments at q; the reflected route
 at the reciprocal parameter 1/q.  Equality of the two routes is a central
 family of identities the verifier checks.
 
+``_checked`` owns the input rule of every public form (q off the poles 0,
+1 and -1, k >= 0, factors n_i >= 0 with m_i >= 1), and ``_reflected_route``
+the reflected route's domain T = sum m_i n_i > kM = k sum m_i.
+
 The reflected forms that circulate in print keep the parameter q instead of
 1/q.  Each printed form is therefore the corrected reflected route called
 at the reciprocal parameter, and the counterexample section evaluates it
@@ -30,6 +34,7 @@ from .kernel import (
     FrozenRecord,
     binomial_coeff,
     require_padic_convergence,
+    require_pole_free,
     to_rational,
 )
 
@@ -44,10 +49,17 @@ __all__ = [
 ]
 
 
-def _pole_free(q) -> Fraction:
-    q = to_rational(q)
-    if q == 0 or q == 1 or q == -1:
-        raise DomainError(f"q = {q} is excluded (pole of the moment forms)")
+def _checked(k: int, pairs, q) -> Fraction:
+    """q as a Fraction, once q is off the poles, k >= 0, and there is at
+    least one (n_i, m_i) pair, each with n_i >= 0 and m_i >= 1."""
+    q = require_pole_free(q)
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+    if not pairs:
+        raise DomainError("at least one factor is required")
+    for n, m in pairs:
+        if n < 0 or m < 1:
+            raise DomainError("need n_i >= 0 and m_i >= 1")
     return q
 
 
@@ -73,24 +85,26 @@ def _reflected(k: int, pairs, qr: Fraction) -> Fraction:
     return moment(total - kM, kM, qr, coeff)
 
 
+def _reflected_route(k: int, pairs, q: Fraction) -> Fraction:
+    """``_reflected`` at the reciprocal parameter 1/q, in its domain T > kM."""
+    if sum(n * m for n, m in pairs) <= k * sum(m for _, m in pairs):
+        raise DomainError("the reflected route needs T > kM (sum m_i n_i > k sum m_i)")
+    return _reflected(k, pairs, 1 / q)
+
+
 class IntegralInstance(FrozenRecord):
     """One power-product moment: prod_i B_{k,n_i}**m_i at a fixed rational q.
 
-    ``degrees`` holds the (n_i, m_i) pairs, m_i >= 1.
+    ``degrees`` holds the (n_i, m_i) pairs.  An instance satisfies the input
+    rule of the moment forms (``_checked``), so the power-product moments
+    take it as it is.
     """
 
     __slots__ = ("k", "degrees", "q")
 
     def __init__(self, k: int, degrees: tuple[tuple[int, int], ...], q: Fraction):
-        q = to_rational(q)
         degrees = tuple((int(n), int(m)) for n, m in degrees)
-        self._init(k, degrees, q)
-        if k < 0:
-            raise DomainError("k must be nonnegative")
-        if not degrees:
-            raise DomainError("at least one factor is required")
-        if any(n < 0 or m < 1 for n, m in degrees):
-            raise DomainError("need n_i >= 0 and m_i >= 1")
+        self._init(k, degrees, _checked(k, degrees, q))
 
     @property
     def total_degree(self) -> int:
@@ -109,10 +123,8 @@ def integral_basis(k: int, n: int, q) -> Fraction:
     the ground truth the reflected forms are checked against.  Zero when
     n < k (the basis member itself vanishes).
     """
-    q = _pole_free(q)
-    if k < 0 or n < 0:
-        raise DomainError("indices must be nonnegative")
-    return _direct(k, ((n, 1),), q)
+    pairs = ((n, 1),)
+    return _direct(k, pairs, _checked(k, pairs, q))
 
 
 def integral_basis_reflected(k: int, n: int, q) -> Fraction:
@@ -125,12 +137,8 @@ def integral_basis_reflected(k: int, n: int, q) -> Fraction:
     form, false in general: the printed value at k = 1, n = 3, q = 1/2 is
     this function at q = 2, -4/3, where the moment is 2/15.
     """
-    q = _pole_free(q)
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    if n <= k:
-        raise DomainError("the reflected route needs n > k")
-    return _reflected(k, ((n, 1),), 1 / q)
+    pairs = ((n, 1),)
+    return _reflected_route(k, pairs, _checked(k, pairs, q))
 
 
 def integral_product(k: int, ns, q, method: str = "direct") -> Fraction:
@@ -146,19 +154,12 @@ def integral_product(k: int, ns, q, method: str = "direct") -> Fraction:
     truth on some symmetric instances but separates e.g. at k = 1,
     ns = (1, 2), q = 1/2 (4/45 versus -8/9).
     """
-    q = _pole_free(q)
-    degrees = tuple(int(n) for n in ns)
-    if not degrees:
-        raise DomainError("at least one factor is required")
-    if k < 0 or any(n < 0 for n in degrees):
-        raise DomainError("indices must be nonnegative")
-    pairs = tuple((n, 1) for n in degrees)
+    pairs = tuple((int(n), 1) for n in ns)
+    q = _checked(k, pairs, q)
     if method == "direct":
         return _direct(k, pairs, q)
     if method == "reflected":
-        if sum(degrees) <= len(degrees) * k:
-            raise DomainError("the reflected route needs sum(ns) > s*k")
-        return _reflected(k, pairs, 1 / q)
+        return _reflected_route(k, pairs, q)
     raise DomainError(f"unknown method: {method!r}")
 
 
@@ -170,16 +171,13 @@ def integral_power_product(instance: IntegralInstance) -> Fraction:
     additive 2 cancels under the alternating sum whenever kM > 0.  Needs
     T > kM.  Cross-checked against ``integral_power_product_direct``.
     """
-    q = _pole_free(instance.q)
-    if instance.total_degree <= instance.k * instance.multiplicity:
-        raise DomainError("needs total degree > k * multiplicity")
-    return _reflected(instance.k, instance.degrees, 1 / q)
+    return _reflected_route(instance.k, instance.degrees, instance.q)
 
 
 def integral_power_product_direct(instance: IntegralInstance) -> Fraction:
     """Direct u-expansion of the power-product moment (oracle route):
     prod_i C(n_i,k)**m_i sum_j C(T-kM,j) (-1)**j E_{j+kM,q}."""
-    return _direct(instance.k, instance.degrees, _pole_free(instance.q))
+    return _direct(instance.k, instance.degrees, instance.q)
 
 
 def fermionic_basis_sum(k: int, n: int, q, p: int, level: int) -> Fraction:

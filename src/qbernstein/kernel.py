@@ -22,6 +22,7 @@ __all__ = [
     "padic_valuation",
     "parse_rational",
     "require_padic_convergence",
+    "require_pole_free",
     "require_real_domain",
     "to_rational",
 ]
@@ -169,6 +170,14 @@ def require_padic_convergence(q: Fraction, p: int, level: int) -> None:
         raise DomainError(f"level must be >= 1, got {level}")
     if padic_valuation(q, p) < 0 or padic_valuation(q - 1, p) < 1:
         raise DomainError("need |q|_p <= 1 and |1-q|_p < 1 for p-adic convergence")
+
+
+def require_pole_free(q) -> Fraction:
+    """q as a Fraction, off the poles 0, 1 and -1 of the moment identities."""
+    q = to_rational(q)
+    if q == 0 or q == 1 or q == -1:
+        raise DomainError(f"q = {q} is a pole of the moment identities; q must avoid 0, 1 and -1")
+    return q
 
 
 def require_real_domain(x: float, q: float) -> None:

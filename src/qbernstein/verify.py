@@ -65,7 +65,7 @@ from .kernel import (
     binomial_coeff,
     format_rational,
     padic_valuation,
-    to_rational,
+    require_pole_free,
 )
 from .qcore import gaussian_binomial, stirling2
 from .upoly import UPoly
@@ -94,7 +94,13 @@ _RNG_SEED = 20211  # fixed so reports are byte-identical across runs
 
 
 class VerifyConfig(FrozenRecord):
-    """Suite selection, q sample set, and size bounds for one verifier run."""
+    """Suite selection, q sample set, and size bounds for one verifier run.
+
+    ``qb verify`` passes only the flags given, so these defaults are its own.
+    The q values must be distinct and avoid the poles 0, 1 and -1 for every
+    suite, and the bounds must be integers within their caps; otherwise the
+    constructor raises ``DomainError``, before any suite runs.
+    """
 
     __slots__ = ("suite", "qs", "nmax", "smax", "kmax", "include_printed_counterexamples")
 
@@ -107,7 +113,7 @@ class VerifyConfig(FrozenRecord):
         kmax: int = 2,
         include_printed_counterexamples: bool = False,
     ):
-        qs = tuple(to_rational(q) for q in qs)
+        qs = tuple(require_pole_free(q) for q in qs)
         self._init(suite, qs, nmax, smax, kmax, include_printed_counterexamples)
         if suite != "all" and suite not in SUITES:
             raise DomainError(f"unknown suite: {suite!r}")

@@ -21,6 +21,7 @@ from qbernstein.cli import (
     main,
 )
 from qbernstein.kernel import DomainError, binomial_coeff
+from qbernstein.verify import VerifyConfig
 
 
 def run_cli(*args, **kwargs):
@@ -444,6 +445,40 @@ class TestVerifyCommand:
         stub_suites(workers, **{side: fail})
         assert main(["verify", "--q", "1/2", "--nmax", "1", "--smax", "1", "--kmax", "0"]) == 3
         assert re.search(r"domain error: \w+ went wrong", capsys.readouterr().err)
+
+    # one flag per VerifyConfig field, each set away from its default
+    CONFIG_FLAGS = {
+        "suite": (["--suite", "euler"], "euler"),
+        "qs": (["--q", "1/3", "--q=-7/2"], (Fraction(1, 3), Fraction(-7, 2))),
+        "nmax": (["--nmax", "5"], 5),
+        "smax": (["--smax", "1"], 1),
+        "kmax": (["--kmax", "3"], 3),
+        "include_printed_counterexamples": (["--include-printed-counterexamples"], True),
+    }
+
+    def _config(self, argv, monkeypatch):
+        class Handed(Exception):
+            pass
+
+        def capture(cfg):
+            raise Handed(cfg)
+
+        monkeypatch.setattr(qbernstein.cli, "run_verify_suite", capture)
+        with pytest.raises(Handed) as handed:
+            main(["verify", *argv])
+        return handed.value.args[0]
+
+    def test_no_flags_hand_on_the_default_config(self, monkeypatch):
+        assert self._config([], monkeypatch) == VerifyConfig()
+
+    def test_every_config_field_has_a_flag(self):
+        assert set(self.CONFIG_FLAGS) == set(VerifyConfig.__slots__)
+
+    @pytest.mark.parametrize("field", sorted(CONFIG_FLAGS))
+    def test_each_flag_sets_its_field(self, field, monkeypatch):
+        argv, value = self.CONFIG_FLAGS[field]
+        assert getattr(VerifyConfig(), field) != value
+        assert self._config(argv, monkeypatch) == VerifyConfig(**{field: value})
 
     def test_raised_nmax_run_passes(self, capsys):
         assert main(["verify", "--suite", "bernstein", "--q", "1/2", "--nmax", "20"]) == 0

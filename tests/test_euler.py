@@ -85,15 +85,6 @@ class TestEulerTable:
                 perturbed = values[:i] + (values[i] + delta,) + values[i + 1 :]
                 assert EulerTable(q, perturbed).check_recurrence() is False
 
-    def test_extension_is_immutable(self):
-        table = euler_table(Fraction(3, 5), 4)
-        longer = table.extend(9)
-        assert table.nmax == 4
-        assert longer.nmax == 9
-        assert longer.values[:5] == table.values
-        shorter = longer.extend(2)
-        assert shorter.values == table.values[:3]
-
     def test_rejects_q_minus_one(self):
         for q in (Fraction(-1), -1, "-1"):
             with pytest.raises(DomainError):
@@ -117,7 +108,7 @@ class TestEulerTable:
         with pytest.raises(DomainError, match="^n must be nonnegative, got -1$"):
             euler_number(-1, Fraction(1, 2))
         with pytest.raises(DomainError, match="^nmax must be nonnegative, got -1$"):
-            euler_table(Fraction(1, 2), 4).extend(-1)
+            euler_table(Fraction(1, 2), -1)
 
 
 class TestClosedForm:
@@ -208,6 +199,14 @@ class TestEulerPoly:
             euler_poly(2, 1, Fraction(1))
         with pytest.raises(DomainError):
             euler_poly_real(2, 0.5, 1.0)
+
+    def test_negative_x_at_q_zero_is_refused_before_any_work(self, monkeypatch):
+        def no_work(q, nmax):
+            raise AssertionError("the E-table was read")
+
+        monkeypatch.setattr(euler, "_prefix", no_work)
+        with pytest.raises(DomainError, match="^negative x requires q != 0$"):
+            euler_poly(2, -1, 0)
 
 
 class TestShiftMoment:

@@ -68,7 +68,8 @@ def test_closed_form_poles_follow_the_recurrence(q, cold_cache):
 def test_resumed_table_equals_cold_build(q, monkeypatch):
     monkeypatch.setattr(euler, "_CACHE", {})
     short = euler_table(q, 30)
-    resumed = short.extend(60)
+    assert len(euler._CACHE[q].values) == 31
+    resumed = euler_table(q, 60)  # resumes from the cached 30-entry prefix
     monkeypatch.setattr(euler, "_CACHE", {})
     cold = euler_table(q, 60)
     assert resumed == cold

@@ -168,6 +168,64 @@ class TestPowerProduct:
         assert printed == Fraction(4, 45)
 
 
+# The refused inputs, each as a change to an admissible call: k = 1, the one
+# factor (n, m) = (3, 1), q = 1/2 and the reflected method.
+_ADMISSIBLE = {"k": 1, "pairs": ((3, 1),), "q": HALF, "method": "reflected"}
+_REFUSED = {
+    "q=0": {"q": 0},
+    "q=1": {"q": 1},
+    "q=-1": {"q": -1},
+    "k=-1": {"k": -1},
+    "n=-1": {"pairs": ((-1, 1),)},
+    "no-factor": {"pairs": ()},
+    "m=0": {"pairs": ((3, 0),)},
+    "T<=kM": {"k": 3},
+    "unknown-method": {"method": "sideways"},
+}
+# Each wrapper on (k, pairs, q, method), and the refused inputs it can be
+# given: a basis member is one factor with m = 1, a product has every m = 1,
+# only the reflected routes need T > kM, and only a product takes a method.
+_EVERY_WRAPPER = ("q=0", "q=1", "q=-1", "k=-1", "n=-1")
+_WRAPPERS = {
+    "integral_basis": (
+        lambda k, pairs, q, method: integral_basis(k, pairs[0][0], q),
+        _EVERY_WRAPPER,
+    ),
+    "integral_basis_reflected": (
+        lambda k, pairs, q, method: integral_basis_reflected(k, pairs[0][0], q),
+        _EVERY_WRAPPER + ("T<=kM",),
+    ),
+    "integral_product": (
+        lambda k, pairs, q, method: integral_product(k, [n for n, _ in pairs], q, method),
+        _EVERY_WRAPPER + ("no-factor", "T<=kM", "unknown-method"),
+    ),
+    "integral_power_product": (
+        lambda k, pairs, q, method: integral_power_product(IntegralInstance(k, pairs, q)),
+        _EVERY_WRAPPER + ("no-factor", "m=0", "T<=kM"),
+    ),
+    "integral_power_product_direct": (
+        lambda k, pairs, q, method: integral_power_product_direct(IntegralInstance(k, pairs, q)),
+        _EVERY_WRAPPER + ("no-factor", "m=0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("wrapper", sorted(_WRAPPERS))
+def test_every_wrapper_takes_the_admissible_call(wrapper):
+    call, _ = _WRAPPERS[wrapper]
+    assert call(**_ADMISSIBLE) == Fraction(2, 15)
+
+
+@pytest.mark.parametrize(
+    "wrapper, refused",
+    [(wrapper, refused) for wrapper, (_, cases) in sorted(_WRAPPERS.items()) for refused in cases],
+)
+def test_every_wrapper_refuses_each_refused_input(wrapper, refused):
+    call, _ = _WRAPPERS[wrapper]
+    with pytest.raises(DomainError):
+        call(**{**_ADMISSIBLE, **_REFUSED[refused]})
+
+
 class TestFermionicOracle:
     def test_valuation_floor(self):
         q = Fraction(4)

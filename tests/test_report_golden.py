@@ -1,12 +1,14 @@
-"""Byte-identity of the `qb verify` JSON report.
+"""Byte-identity of the `qb verify` JSON report and of its stdout.
 
-The digests were taken from reports written by the Fraction-based kernels,
-before the integer E-table, UPoly and truncated-sum kernels replaced them.
-Any change to the report's bytes, deliberate or not, fails here; a
-deliberate one must update the digest and say why.
+The report digests were taken from reports written by the Fraction-based
+kernels, before the integer E-table, UPoly and truncated-sum kernels
+replaced them.  Any change to the report's bytes, deliberate or not, fails
+here; a deliberate one must update the digest and say why.
 """
 
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -56,6 +58,34 @@ GOLDEN = {
         "586ba9cb61a47e98d8189f27b36bd2e7cd097988d4a40c10e3c54d2628e5258b",
     ),
 }
+
+
+# sha256 of `qb verify` stdout for the GOLDEN argv lists, taken while the
+# per-identity summary lines were still counted in a dict and sorted again
+GOLDEN_STDOUT = {
+    "all": "1cd811e01116a35904f153eda7178d4ea9088387c78701a540e4c734554b2f2c",
+    "all-low-bounds-with-counterexamples": (
+        "9bd2103f84c7b7897cbcceb4806287fd1b7bfc1813eca6926009653e2f37bcf6"
+    ),
+    "all-offgrid-q-with-counterexamples": (
+        "eb342f068864ab790b7103d0da0de066ecd988ad64b7978b889ffecf1fa14bdb"
+    ),
+    "all-with-counterexamples": "e1e153eb4dc8bdb753799f30e065b6050d1eca7fcb83485b0e29a3338e709dcc",
+    "bernstein-nmax16": "283e6ca2081df407779f66e46947d1c593a651eed2b85ae3e26c3ae7384bf36d",
+    "integrals-raised-with-counterexamples": (
+        "9e4fd068726cd15becc35210d10481c41885488db739114b4db5fd3e22c157bd"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_bytes_match_golden_digest(name):
+    argv, _ = GOLDEN[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qbernstein.cli", "verify", *argv], capture_output=True
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_STDOUT[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

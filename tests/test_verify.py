@@ -124,6 +124,19 @@ def test_config_validation():
     assert by_int.to_json() == run_verify_suite(VerifyConfig(qs=(Fraction(3),), **cfg)).to_json()
 
 
+@pytest.mark.parametrize("q", [0, 1, -1, Fraction(0), Fraction(1), Fraction(-1), "0/3", "2/2", "-4/4"])
+@pytest.mark.parametrize("suite", ["all", *SUITES])
+def test_poles_refused_at_construction(q, suite, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in SUITES:
+        monkeypatch.setitem(verify._SUITE_FUNCS, name, refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    with pytest.raises(DomainError, match=r"^q = -?[01] is a pole"):
+        run_verify_suite(VerifyConfig(suite=suite, qs=(Fraction(1, 2), q)))
+
+
 def test_default_q_set():
     assert DEFAULT_QS == (
         Fraction(1, 2),
