@@ -24,7 +24,9 @@ from .kernel import (
     FrozenRecord,
     binomial_coeff,
     require_padic_convergence,
-    require_real_domain,
+    require_pole_free,
+    require_q_power_domain,
+    require_real_pole_free,
     to_rational,
 )
 from .qcore import q_number_int, q_number_real
@@ -50,16 +52,14 @@ class EulerTable(FrozenRecord):
     """Memoized prefix E_0..E_N for one fixed rational q.
 
     Immutable: ``euler_table(q, n)`` builds a longer one from the cached
-    prefix.  q = -1 is impossible (1 + q**n vanishes for odd n); q = 1 is
-    allowed and gives the classical Euler numbers.
+    prefix.  q is stored as a Fraction and may not be -1
+    (``_require_recurrence_q``); q = 1 gives the classical Euler numbers.
     """
 
     __slots__ = ("q", "values")
 
-    def __init__(self, q: Fraction, values: tuple[Fraction, ...]):
-        self._init(q, values)
-        if q == -1:
-            raise DomainError("q = -1 makes 1 + q**n vanish for odd n")
+    def __init__(self, q, values: tuple[Fraction, ...]):
+        self._init(_require_recurrence_q(q), values)
         if not values or values[0] != 1:
             raise DomainError("a table must start with E_0 = 1")
 
@@ -104,6 +104,14 @@ class _Prefix(NamedTuple):
 _CACHE: dict[Fraction, _Prefix] = {}
 
 
+def _require_recurrence_q(q) -> Fraction:
+    """q as a Fraction the E-recurrence can divide by 1 + q**n at: not -1."""
+    q = to_rational(q)
+    if q == -1:
+        raise DomainError("q = -1 makes 1 + q**n vanish for odd n")
+    return q
+
+
 def euler_table(q, nmax: int) -> EulerTable:
     """Build E_0..E_nmax by the recurrence E_n = -(sum_{l<n} C(n,l) q**l E_l) / (1 + q**n).
 
@@ -120,8 +128,7 @@ def euler_table(q, nmax: int) -> EulerTable:
     integer state included, so a longer request resumes where the cache
     stops; tables themselves are immutable.
     """
-    q = to_rational(q)
-    return EulerTable(q=q, values=_prefix(q, nmax).values[: nmax + 1])
+    return EulerTable(q, _prefix(q, nmax).values[: nmax + 1])
 
 
 def _prefix(q, nmax: int) -> _Prefix:
@@ -139,11 +146,9 @@ def _prefix(q, nmax: int) -> _Prefix:
     the factor by which D grew.  ``nums`` are put over the final D once per
     extension, by suffix products of the m_d.
     """
-    q = to_rational(q)
+    q = _require_recurrence_q(q)
     if nmax < 0:
         raise DomainError(f"nmax must be nonnegative, got {nmax}")
-    if q == -1:
-        raise DomainError("q = -1 makes 1 + q**n vanish for odd n")
     prefix = _CACHE.get(q) or _Prefix((Fraction(1),), 1, (1,), (1,))
     start = len(prefix.values)
     if start <= nmax:
@@ -188,38 +193,16 @@ def euler_number(n: int, q) -> Fraction:
 
 
 def euler_closed(n: int, q) -> Fraction:
-    """Closed form E_n = 2 (1-q)**-n sum_l C(n,l) (-1)**l / (1 + q**l).
-
-    Independent of the recurrence route (see ``_closed_sum``); q = 1 and
-    q = -1 are genuine poles here and are rejected.
-    """
+    """Closed form E_n = 2 (1-q)**-n sum_l C(n,l) (-1)**l / (1 + q**l), independent
+    of the recurrence route (see ``euler_poly_closed``); q = 1 and q = -1 are poles."""
     return euler_poly_closed(n, 0, q)
 
 
-def _closed_sum(n: int, x: int, q: Fraction) -> Fraction:
-    """2 (1-q)**-n sum_l C(n,l) (-1)**l q**(l x) / (1 + q**l) as one Fraction.
-
-    With q = a/b, 1/(1 + q**l) = b**l / (a**l + b**l), and q**(l x) is
-    c**l / d**l with (c, d) = (a**x, b**x) for x >= 0 and (b**-x, a**-x)
-    for x < 0.  Over L = lcm(a**l + b**l) the sum is S / (d**n L) with
-    S = sum_l C(n,l) (-1)**l (b c)**l d**(n-l) L / (a**l + b**l), so the
-    value is 2 b**n S / ((b-a)**n d**n L).  It reads no E-table, so it stays
-    an oracle independent of the recurrence.
-    """
-    a, b = q.numerator, q.denominator
-    c, d = (a**x, b**x) if x >= 0 else (b**-x, a**-x)
-    sums = [a**l + b**l for l in range(n + 1)]
-    lcm = math.lcm(*sums)
-    bc, total, power = b * c, 0, 1  # power = (-b c)**l
-    for l, s in enumerate(sums):
-        total += math.comb(n, l) * power * d ** (n - l) * (lcm // s)
-        power *= -bc
-    return Fraction(2 * b**n * total, (b - a) ** n * d**n * lcm)
-
-
-def _reject_poles(q: Fraction) -> Fraction:
+def _require_closed_form_q(q) -> Fraction:
+    """q as a Fraction off 1 and -1, the poles of the closed forms."""
+    q = to_rational(q)
     if q == 1 or q == -1:
-        raise DomainError("q = 1 and q = -1 are excluded here")
+        raise DomainError("q = 1 and q = -1 are poles of the closed form")
     return q
 
 
@@ -234,7 +217,7 @@ def euler_poly(n: int, x: int, q) -> Fraction:
     over the table's common denominator, it is
     sum_l C(n,l) e_l (c V)**l (d U)**(n-l) / (D (d V)**n).
     """
-    q = _reject_poles(to_rational(q))
+    q = _require_closed_form_q(q)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     ux = q_number_int(x, q)  # refuses a negative x at q = 0
@@ -242,10 +225,8 @@ def euler_poly(n: int, x: int, q) -> Fraction:
     a, b = q.numerator, q.denominator
     c, d = (a**x, b**x) if x >= 0 else (b**-x, a**-x)
     cv, du = c * ux.denominator, d * ux.numerator
-    total = sum(
-        math.comb(n, l) * e * cv**l * du ** (n - l)
-        for l, e in enumerate(prefix.nums[: n + 1])
-    )
+    terms = enumerate(prefix.nums[: n + 1])
+    total = sum(math.comb(n, l) * e * cv**l * du ** (n - l) for l, e in terms)
     return Fraction(total, prefix.den * (d * ux.denominator) ** n)
 
 
@@ -254,15 +235,25 @@ def euler_poly_closed(n: int, x: int, q) -> Fraction:
 
     A second, independent route used to cross-check ``euler_poly``; at
     x = 0 it is ``euler_closed``.  q = 1 and q = -1 are poles.
+
+    With q = a/b, 1/(1 + q**l) = b**l / (a**l + b**l), and q**(l x) is
+    c**l / d**l with (c, d) = (a**x, b**x) for x >= 0 and (b**-x, a**-x)
+    for x < 0.  Over L = lcm(a**l + b**l) the sum is S / (d**n L) with
+    S = sum_l C(n,l) (-1)**l (b c)**l d**(n-l) L / (a**l + b**l), so the
+    value is 2 b**n S / ((b-a)**n d**n L).  It reads no E-table.
     """
-    q = to_rational(q)
-    if q == 1 or q == -1:
-        raise DomainError("q = 1 and q = -1 are poles of the closed form")
+    q = _require_closed_form_q(require_q_power_domain(x, q))
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    if q == 0 and x < 0:
-        raise DomainError("negative x requires q != 0")
-    return _closed_sum(n, x, q)
+    a, b = q.numerator, q.denominator
+    c, d = (a**x, b**x) if x >= 0 else (b**-x, a**-x)
+    sums = [a**l + b**l for l in range(n + 1)]
+    lcm = math.lcm(*sums)
+    bc, total, power = b * c, 0, 1  # power = (-b c)**l
+    for l, s in enumerate(sums):
+        total += math.comb(n, l) * power * d ** (n - l) * (lcm // s)
+        power *= -bc
+    return Fraction(2 * b**n * total, (b - a) ** n * d**n * lcm)
 
 
 def euler_poly_real(n: int, x: float, q: float) -> float:
@@ -275,9 +266,7 @@ def euler_poly_real(n: int, x: float, q: float) -> float:
     ``DomainError``.  At a finite x where q**x or [x]_q**n overflows, E_n(x)
     for n >= 1 is itself past the float range: ``OverflowError``.
     """
-    require_real_domain(x, q)
-    if q == 1:
-        raise DomainError("the floating path needs q != 1")
+    require_real_pole_free(x, q)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     if n == 0:
@@ -309,7 +298,6 @@ def shift_moment(shift: int, m: int, q) -> Fraction:
     """
     if shift < 1:
         raise DomainError("shift must be a positive integer")
-    q = to_rational(q)
     return euler_poly(m, shift, q) + (-1) ** (shift - 1) * euler_number(m, q)
 
 
@@ -355,12 +343,9 @@ def complement_moment(n: int, q) -> Fraction:
     (already at n = 1, q = 1/2: 5/3 versus 4/3); the verifier keeps that
     variant as a counterexample.  For n = 0 the value is 1.
     """
-    q = to_rational(q)
+    q = require_pole_free(q)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    if q == 0:
-        raise DomainError("q = 0 has no reciprocal parameter for the contract")
-    _reject_poles(q)
     return moment(0, n, q)
 
 

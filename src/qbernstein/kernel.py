@@ -23,7 +23,10 @@ __all__ = [
     "parse_rational",
     "require_padic_convergence",
     "require_pole_free",
+    "require_q_power_domain",
+    "require_qfactorial_domain",
     "require_real_domain",
+    "require_real_pole_free",
     "to_rational",
 ]
 
@@ -180,6 +183,22 @@ def require_pole_free(q) -> Fraction:
     return q
 
 
+def require_q_power_domain(x: int, q) -> Fraction:
+    """q as a Fraction at which q**x exists: a negative x needs q != 0."""
+    q = to_rational(q)
+    if x < 0 and q == 0:
+        raise DomainError("negative x requires q != 0")
+    return q
+
+
+def require_qfactorial_domain(q) -> Fraction:
+    """q as a Fraction off 0 and -1 at every k; q**C(k,2) [k]_q! vanishes there for k >= 2."""
+    q = to_rational(q)
+    if q == 0 or q == -1:
+        raise DomainError(f"q = {q} is excluded from the q-factorial family at every k")
+    return q
+
+
 def require_real_domain(x: float, q: float) -> None:
     """Preconditions of the floating path: a finite q > 0 and an x that is
     not nan (an infinite x gives an infinite or limiting u = [x]_q)."""
@@ -187,6 +206,13 @@ def require_real_domain(x: float, q: float) -> None:
         raise DomainError(f"q must be finite and positive, got {q}")
     if math.isnan(x):
         raise DomainError("x must not be nan")
+
+
+def require_real_pole_free(x: float, q: float) -> None:
+    """``require_real_domain`` and q != 1, the pole of (1 - q**x) / (1 - q)."""
+    require_real_domain(x, q)
+    if q == 1:
+        raise DomainError("q = 1 is a pole of the floating path (1 - q**x) / (1 - q)")
 
 
 def binomial_coeff(n: int, k: int) -> int:

@@ -11,7 +11,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .kernel import DomainError, require_real_domain, to_rational
+from .kernel import (
+    DomainError,
+    require_q_power_domain,
+    require_qfactorial_domain,
+    require_real_pole_free,
+    to_rational,
+)
 from .upoly import UPoly
 
 __all__ = [
@@ -34,11 +40,9 @@ def q_number_int(x: int, q) -> Fraction:
     (b**x - a**x) b / (b**x (b - a)), or (a**m - b**m) b / (a**m (b - a))
     with m = -x for negative x.
     """
-    q = to_rational(q)
+    q = require_q_power_domain(x, q)
     if q == 1:
         return Fraction(x)
-    if x < 0 and q == 0:
-        raise DomainError("negative x requires q != 0")
     a, b = q.numerator, q.denominator
     if x < 0:
         am, bm = a**-x, b**-x
@@ -48,11 +52,8 @@ def q_number_int(x: int, q) -> Fraction:
 
 
 def q_number_real(x: float, q: float) -> float:
-    """[x]_q on the floating path; q must be finite, positive and distinct
-    from 1, and x must not be nan."""
-    require_real_domain(x, q)
-    if q == 1:
-        raise DomainError("q = 1 is a pole of the floating form; use the limit value x")
+    """[x]_q on the floating path (``require_real_pole_free``)."""
+    require_real_pole_free(x, q)
     return (1.0 - q**x) / (1.0 - q)
 
 
@@ -104,17 +105,12 @@ def qbinom_upoly(k: int, q) -> UPoly:
     in u = [x]_q.
 
     Expands prod_{i=0..k-1} [x-i]_q / [k]_q! through the exact reduction
-    [x-i]_q = (u - [i]_q) / q**i.  Needs q != 0 (negative powers of q) and
-    q != -1 ([k]_q! vanishes for k >= 2); q = 1 is fine and reproduces the
-    classical binomial polynomial.
+    [x-i]_q = (u - [i]_q) / q**i.  q = 0 and q = -1 are refused for every k
+    (``require_qfactorial_domain``); q = 1 reproduces the classical binomial polynomial.
     """
-    q = to_rational(q)
+    q = require_qfactorial_domain(q)
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
-    if q == 0:
-        raise DomainError("q = 0 is excluded (negative powers of q appear)")
-    if q == -1:
-        raise DomainError("q = -1 zeroes [k]_q! for k >= 2")
     poly = UPoly.one()
     for i in range(k):
         qi = q_number_int(i, q)  # the factor u - [i]_q, from its integer parts

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .kernel import DomainError, to_rational
+from .kernel import DomainError, require_qfactorial_domain
 from .qcore import q_factorial, qbinom_upoly
 from .upoly import UPoly
 
@@ -22,9 +22,8 @@ def q_stirling2(n: int, k: int, q) -> Fraction:
     """q-Stirling number of the second kind:
     q**-C(k,2) / [k]_q! * sum_j (-1)**j q**C(j,2) C_q(k,j) [k-j]_q**n.
 
-    Uses 0**0 = 1 (needed for the n = k = 0 value 1).  q = 0 is excluded by
-    the negative power of q, q = -1 by the vanishing q-factorials; q = 1 is
-    fine and gives the classical numbers.
+    Uses 0**0 = 1 (needed for the n = k = 0 value 1).  q = 0 and q = -1 are refused
+    for every k (``require_qfactorial_domain``); q = 1 gives the classical numbers.
 
     With q = a/b each term of the sum is an integer over b**e_j (b-a)**n:
     [m]_q = (b**m - a**m) b / (b**m (b-a)), and g_j = b**(j(k-j)) C_q(k,j)
@@ -32,13 +31,9 @@ def q_stirling2(n: int, k: int, q) -> Fraction:
     g_j = g_(j-1) (b**(k-j+1) - a**(k-j+1)) // (b**j - a**j).  The terms
     are summed over the largest b**e_j and one Fraction is built.
     """
-    q = to_rational(q)
+    q = require_qfactorial_domain(q)
     if n < 0 or k < 0:
         raise DomainError("indices must be nonnegative")
-    if q == 0:
-        raise DomainError("q = 0 is excluded (negative powers of q)")
-    if q == -1:
-        raise DomainError("q = -1 zeroes [k]_q! for k >= 2")
     if q == 1:
         return Fraction(
             sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)),
@@ -71,11 +66,9 @@ def qstirling_expansion_upoly(n: int, q) -> UPoly:
     The contract is that the result equals the monomial u**n exactly; the
     verifier asserts that equality coefficient-wise.
     """
-    q = to_rational(q)
+    q = require_qfactorial_domain(q)
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    if q == 0 or q == -1:
-        raise DomainError("q = 0 and q = -1 are excluded")
     acc = UPoly.zero()
     for k in range(n + 1):
         scale = q ** math.comb(k, 2) * q_factorial(k, q) * q_stirling2(n, k, q)

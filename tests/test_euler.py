@@ -94,6 +94,18 @@ class TestEulerTable:
         with pytest.raises(DomainError):
             EulerTable(Fraction(-1), (Fraction(1),))
 
+    def test_coerces_q(self):
+        values = euler_table(Fraction(1, 2), 6).values
+        table = EulerTable("1/2", values)
+        assert table.q == Fraction(1, 2) and type(table.q) is Fraction
+        assert table == euler_table(Fraction(1, 2), 6)
+        assert table.check_recurrence()
+
+    def test_refuses_a_float_q_at_construction(self):
+        values = euler_table(Fraction(1, 2), 6).values
+        with pytest.raises(TypeError, match="^not an exact rational: 0.5"):
+            EulerTable(0.5, values)
+
     def test_rejects_bad_seed(self):
         with pytest.raises(DomainError):
             EulerTable(Fraction(1, 2), (Fraction(2),))
