@@ -15,7 +15,13 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .kernel import DomainError, binomial_coeff, require_real_domain, to_rational
+from .kernel import (
+    DomainError,
+    binomial_coeff,
+    require_nonnegative,
+    require_real_domain,
+    to_rational,
+)
 from .qcore import forward_differences, forward_differences_binomial, q_number_real
 from .upoly import UPoly
 
@@ -163,8 +169,8 @@ def degree_elevate(idx):
     ((n+1-k)/(n+1), (k, n+1)) and ((k+1)/(n+1), (k+1, n+1)).
     """
     k, n = idx
-    if k < 0 or n < 0:
-        raise DomainError("indices must be nonnegative")
+    require_nonnegative(k, "k")
+    require_nonnegative(n, "n")
     den = n + 1
     return (
         (Fraction(n + 1 - k, den), BernsteinIndex(k, n + 1)),
@@ -228,8 +234,8 @@ def operator_eval_real(samples, x: float, q: float) -> float:
 
 def monomial_samples(m: int, n: int) -> list[Fraction]:
     """The operator samples (k/n)**m for k = 0..n, with 0**0 = 1."""
-    if m < 0 or n < 0:
-        raise DomainError("indices must be nonnegative")
+    require_nonnegative(m, "m")
+    require_nonnegative(n, "n")
     if n == 0:
         return [Fraction(1) if m == 0 else Fraction(0)]
     return [Fraction(k, n) ** m for k in range(n + 1)]
@@ -246,10 +252,8 @@ def generating_coeffs(k: int, u, order: int) -> list[Fraction]:
     since the series coefficient is exactly what that contour integral
     picks out.
     """
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k}")
-    if order < 0:
-        raise DomainError(f"order must be nonnegative, got {order}")
+    require_nonnegative(k, "k")
+    require_nonnegative(order, "order")
     u = to_rational(u)
     w = 1 - u
     terms = max(order - k, 0)

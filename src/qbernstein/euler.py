@@ -23,6 +23,7 @@ from .kernel import (
     DomainError,
     FrozenRecord,
     binomial_coeff,
+    require_nonnegative,
     require_padic_convergence,
     require_pole_free,
     require_q_power_domain,
@@ -147,8 +148,7 @@ def _prefix(q, nmax: int) -> _Prefix:
     extension, by suffix products of the m_d.
     """
     q = _require_recurrence_q(q)
-    if nmax < 0:
-        raise DomainError(f"nmax must be nonnegative, got {nmax}")
+    require_nonnegative(nmax, "nmax")
     prefix = _CACHE.get(q) or _Prefix((Fraction(1),), 1, (1,), (1,))
     start = len(prefix.values)
     if start <= nmax:
@@ -187,8 +187,7 @@ def _prefix(q, nmax: int) -> _Prefix:
 
 def euler_number(n: int, q) -> Fraction:
     """E_n at the given rational q (recurrence route, cached)."""
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n, "n")
     return _prefix(q, n).values[n]
 
 
@@ -218,8 +217,7 @@ def euler_poly(n: int, x: int, q) -> Fraction:
     sum_l C(n,l) e_l (c V)**l (d U)**(n-l) / (D (d V)**n).
     """
     q = _require_closed_form_q(q)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n, "n")
     ux = q_number_int(x, q)  # refuses a negative x at q = 0
     prefix = _prefix(q, n)
     a, b = q.numerator, q.denominator
@@ -243,8 +241,7 @@ def euler_poly_closed(n: int, x: int, q) -> Fraction:
     value is 2 b**n S / ((b-a)**n d**n L).  It reads no E-table.
     """
     q = _require_closed_form_q(require_q_power_domain(x, q))
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n, "n")
     a, b = q.numerator, q.denominator
     c, d = (a**x, b**x) if x >= 0 else (b**-x, a**-x)
     sums = [a**l + b**l for l in range(n + 1)]
@@ -267,8 +264,7 @@ def euler_poly_real(n: int, x: float, q: float) -> float:
     for n >= 1 is itself past the float range: ``OverflowError``.
     """
     require_real_pole_free(x, q)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n, "n")
     if n == 0:
         return 1.0
     if q > 1:
@@ -344,8 +340,7 @@ def complement_moment(n: int, q) -> Fraction:
     variant as a counterexample.  For n = 0 the value is 1.
     """
     q = require_pole_free(q)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n, "n")
     return moment(0, n, q)
 
 
@@ -353,8 +348,8 @@ def moment(s: int, d: int, q, coeff: int = 1) -> Fraction:
     """The moment of coeff u**s (1-u)**d at u = [x]_q, that is
     coeff sum_j C(d,j) (-1)**j E_{s+j,q}: every E-moment of the package,
     summed over the cached prefix's integer numerators into one Fraction."""
-    if s < 0 or d < 0:
-        raise DomainError(f"exponents must be nonnegative, got s = {s}, d = {d}")
+    require_nonnegative(s, "s")
+    require_nonnegative(d, "d")
     prefix = _prefix(q, s + d)
     terms = enumerate(prefix.nums[s : s + d + 1])
     total = sum(math.comb(d, j) * (-1) ** j * e for j, e in terms)
@@ -381,8 +376,7 @@ def fermionic_sum(n: int, q, p: int, level: int) -> Fraction:
     prime to b; only the small factor (b-a)**n can share a divisor with it.
     """
     q = to_rational(q)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n, "n")
     require_padic_convergence(q, p, level)
     terms = p**level
     if q == 1:

@@ -33,6 +33,7 @@ from .kernel import (
     DomainError,
     FrozenRecord,
     binomial_coeff,
+    require_nonnegative,
     require_padic_convergence,
     require_pole_free,
     to_rational,
@@ -53,8 +54,7 @@ def _checked(k: int, pairs, q) -> Fraction:
     """q as a Fraction, once q is off the poles, k >= 0, and there is at
     least one (n_i, m_i) pair, each with n_i >= 0 and m_i >= 1."""
     q = require_pole_free(q)
-    if k < 0:
-        raise DomainError("k must be nonnegative")
+    require_nonnegative(k, "k")
     if not pairs:
         raise DomainError("at least one factor is required")
     for n, m in pairs:
@@ -190,8 +190,8 @@ def fermionic_basis_sum(k: int, n: int, q, p: int, level: int) -> Fraction:
     sum_l c_l ``fermionic_sum(l, q, p, level)``.
     """
     q = to_rational(q)
-    if k < 0 or n < 0:
-        raise DomainError("indices must be nonnegative")
+    require_nonnegative(k, "k")
+    require_nonnegative(n, "n")
     require_padic_convergence(q, p, level)
     terms = enumerate(basis_upoly((k, n)).coeffs)
     return sum((c * fermionic_sum(l, q, p, level) for l, c in terms if c), Fraction(0))

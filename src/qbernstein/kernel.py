@@ -21,6 +21,7 @@ __all__ = [
     "is_odd_prime",
     "padic_valuation",
     "parse_rational",
+    "require_nonnegative",
     "require_padic_convergence",
     "require_pole_free",
     "require_q_power_domain",
@@ -163,6 +164,12 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
+def require_nonnegative(value: int, name: str) -> None:
+    """The size rule: an index, degree, order or exponent is an integer >= 0."""
+    if value < 0:
+        raise DomainError(f"{name} must be nonnegative, got {value}")
+
+
 def require_padic_convergence(q: Fraction, p: int, level: int) -> None:
     """Preconditions of a truncated alternating sum over x < p**level: an
     odd prime p, level >= 1, and the convergence regime |q|_p <= 1,
@@ -217,8 +224,7 @@ def require_real_pole_free(x: float, q: float) -> None:
 
 def binomial_coeff(n: int, k: int) -> int:
     """C(n, k), with the convention C(n, k) = 0 for k < 0 or k > n."""
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n, "n")
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)

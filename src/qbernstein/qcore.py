@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .kernel import (
     DomainError,
+    require_nonnegative,
     require_q_power_domain,
     require_qfactorial_domain,
     require_real_pole_free,
@@ -64,8 +65,7 @@ def q_factorial(k: int, q) -> Fraction:
     Fraction from two integer products; q = 1 gives k!.
     """
     q = to_rational(q)
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k}")
+    require_nonnegative(k, "k")
     if q == 1:
         return Fraction(math.factorial(k))
     a, b = q.numerator, q.denominator
@@ -78,10 +78,11 @@ def q_factorial(k: int, q) -> Fraction:
 def gaussian_binomial(k: int, j: int, q) -> Fraction:
     """[k]_q! / ([j]_q! [k-j]_q!); zero outside 0 <= j <= k.
 
-    Expands to a polynomial in q with nonnegative integer coefficients.  At
-    q = -1 the factorial ratio degenerates (even-index q-numbers vanish), so
-    that value is rejected for the nontrivial index range.  With q = a/b,
-    the homogenised polynomial b**(j(k-j)) [k choose j]_q is the integer
+    Expands to a polynomial in q with nonnegative integer coefficients, so
+    it has a value at every q.  At q = -1 the factorial ratio is 0/0 (the
+    even-index q-numbers vanish); the polynomial's value there is 0 for even
+    k and odd j, else C(k // 2, j // 2).  With q = a/b, the homogenised
+    polynomial b**(j(k-j)) [k choose j]_q is the integer
     prod (b**(k-j+i) - a**(k-j+i)) // prod (b**i - a**i), i = 1..j; the
     floor division is exact.
     """
@@ -91,7 +92,7 @@ def gaussian_binomial(k: int, j: int, q) -> Fraction:
     if j == 0 or j == k:
         return Fraction(1)
     if q == -1:
-        raise DomainError("q = -1 zeroes the q-factorials in the ratio")
+        return Fraction(0 if k % 2 == 0 and j % 2 else math.comb(k // 2, j // 2))
     if q == 1:
         return Fraction(math.comb(k, j))
     a, b = q.numerator, q.denominator
@@ -109,8 +110,7 @@ def qbinom_upoly(k: int, q) -> UPoly:
     (``require_qfactorial_domain``); q = 1 reproduces the classical binomial polynomial.
     """
     q = require_qfactorial_domain(q)
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k}")
+    require_nonnegative(k, "k")
     poly = UPoly.one()
     for i in range(k):
         qi = q_number_int(i, q)  # the factor u - [i]_q, from its integer parts
@@ -156,6 +156,6 @@ def stirling2(m: int, k: int) -> int:
 
     Uses 0**0 = 1, so stirling2(0, 0) = 1; zero whenever k > m.
     """
-    if m < 0 or k < 0:
-        raise DomainError("indices must be nonnegative")
+    require_nonnegative(m, "m")
+    require_nonnegative(k, "k")
     return forward_differences([t**m for t in range(k + 1)])[k] // math.factorial(k)

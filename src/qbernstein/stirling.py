@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .kernel import DomainError, require_qfactorial_domain
+from .kernel import require_nonnegative, require_qfactorial_domain
 from .qcore import q_factorial, qbinom_upoly
 from .upoly import UPoly
 
@@ -32,8 +32,8 @@ def q_stirling2(n: int, k: int, q) -> Fraction:
     are summed over the largest b**e_j and one Fraction is built.
     """
     q = require_qfactorial_domain(q)
-    if n < 0 or k < 0:
-        raise DomainError("indices must be nonnegative")
+    require_nonnegative(n, "n")
+    require_nonnegative(k, "k")
     if q == 1:
         return Fraction(
             sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)),
@@ -67,8 +67,7 @@ def qstirling_expansion_upoly(n: int, q) -> UPoly:
     verifier asserts that equality coefficient-wise.
     """
     q = require_qfactorial_domain(q)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    require_nonnegative(n, "n")
     acc = UPoly.zero()
     for k in range(n + 1):
         scale = q ** math.comb(k, 2) * q_factorial(k, q) * q_stirling2(n, k, q)

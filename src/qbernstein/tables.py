@@ -12,14 +12,11 @@ import json
 
 from .bernstein import basis_upoly
 from .euler import euler_table
-from .kernel import DomainError, format_rational, to_rational
+from .kernel import format_rational, require_nonnegative, to_rational
 from .qcore import stirling2
 from .stirling import q_stirling2
 
 __all__ = ["emit_table", "render_rows"]
-
-TABLE_KINDS = ("euler", "bernstein", "stirling")
-
 
 def emit_table(kind: str, params: dict, fmt: str = "csv") -> bytes:
     """Render one table as bytes.
@@ -66,8 +63,8 @@ def _euler_rows(params):
 def _bernstein_rows(params):
     k = int(params["k"])
     n = int(params["n"])
-    if k < 0 or n < 0:
-        raise DomainError("k and n must be nonnegative")
+    require_nonnegative(k, "k")
+    require_nonnegative(n, "n")
     poly = basis_upoly((k, n))
     return ["power", "coeff"], [
         (i, format_rational(poly.coeff(i))) for i in range(n + 1)
@@ -76,8 +73,7 @@ def _bernstein_rows(params):
 
 def _stirling_rows(params):
     nmax = int(params["nmax"])
-    if nmax < 0:
-        raise DomainError("nmax must be nonnegative")
+    require_nonnegative(nmax, "nmax")
     q = params.get("q")
     rows = []
     if q is None:

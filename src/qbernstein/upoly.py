@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .kernel import to_rational
+from .kernel import require_nonnegative, to_rational
 
 __all__ = ["UPoly", "U"]
 
@@ -45,7 +45,7 @@ class UPoly:
     constant polynomials in mixed expressions.
     """
 
-    __slots__ = ("_num", "_den", "_coeffs")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
         cs = [to_rational(c) for c in coeffs]
@@ -66,7 +66,6 @@ class UPoly:
                 num, den = [c // g for c in num], den // g
         self._num = tuple(num)
         self._den = den
-        self._coeffs = None
 
     @classmethod
     def _make(cls, num: list[int], den: int = 1) -> "UPoly":
@@ -83,9 +82,7 @@ class UPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(c, self._den) for c in self._num)
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self) -> int | float:
@@ -101,8 +98,7 @@ class UPoly:
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "UPoly":
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        require_nonnegative(power, "power")
         c = to_rational(coeff)
         return cls._make([0] * power + [c.numerator], c.denominator)
 
@@ -185,8 +181,7 @@ class UPoly:
         return UPoly._make([c.denominator * a for a in self._num], c.numerator * self._den)
 
     def __pow__(self, n: int) -> "UPoly":
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
+        require_nonnegative(n, "n")
         result = UPoly.one()
         base = self
         while n:

@@ -52,7 +52,6 @@ OWNERS = {
     ("euler.py", "reflection_check"): {0},
     ("kernel.py", "require_real_pole_free"): {1},
     ("kernel.py", "require_qfactorial_domain"): {0, -1},
-    ("qcore.py", "gaussian_binomial"): {-1},
 }
 
 
@@ -133,7 +132,6 @@ RECURRENCE = r"^q = -1 makes 1 \+ q\*\*n vanish for odd n$"
 CLOSED_FORM = r"^q = 1 and q = -1 are poles of the closed form$"
 NEGATIVE_X = r"^negative x requires q != 0$"
 RECIPROCAL = r"^q = 0 has no reciprocal parameter$"
-GAUSSIAN = r"^q = -1 zeroes the q-factorials in the ratio$"
 
 
 def _moment_rule(q):
@@ -200,8 +198,6 @@ CASES = [
      lambda: q_stirling2(0, 0, 2) == 1),
     ("qstirling_expansion_upoly", lambda q: qstirling_expansion_upoly(2, q), (0, -1),
      _qfactorial_rule, False, lambda: qstirling_expansion_upoly(2, 2) == U**2),
-    ("gaussian_binomial", lambda q: gaussian_binomial(3, 1, q), (-1,), GAUSSIAN, False,
-     lambda: gaussian_binomial(3, 0, -1) == 1),
 ]
 
 MATRIX = [
@@ -236,6 +232,14 @@ def test_excluded_q_is_refused_by_its_owner(monkeypatch, call, q, message, rule_
 @pytest.mark.parametrize("neighbour", [case[-1] for case in CASES], ids=[case[0] for case in CASES])
 def test_admissible_neighbour_computes(neighbour):
     assert neighbour()
+
+
+@pytest.mark.parametrize("q", _spellings(-1), ids=lambda q: f"{type(q).__name__}{q}")
+def test_gaussian_binomial_has_a_value_at_q_minus_one(q):
+    # a polynomial in q with integer coefficients: no q is excluded
+    assert gaussian_binomial(3, 1, q) == 1
+    assert gaussian_binomial(4, 2, q) == 2
+    assert gaussian_binomial(4, 1, q) == 0
 
 
 FLOAT_PATH = r"^q = 1 is a pole of the floating path \(1 - q\*\*x\) / \(1 - q\)$"

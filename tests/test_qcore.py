@@ -110,12 +110,21 @@ class TestGaussianBinomial:
             for j in range(k + 1):
                 assert gaussian_binomial(k, j, 1) == math.comb(k, j)
 
-    def test_rejects_q_minus_one_on_nontrivial_range(self):
-        with pytest.raises(DomainError):
-            gaussian_binomial(3, 1, Fraction(-1))
-        # trivial boundary cases do not touch the pole
+    def test_value_at_q_minus_one_on_nontrivial_range(self):
+        # the factorial ratio is 0/0 there, but the polynomial has a value
+        assert gaussian_binomial(3, 1, Fraction(-1)) == 1
+        assert gaussian_binomial(4, 2, Fraction(-1)) == 2
+        assert gaussian_binomial(4, 1, Fraction(-1)) == 0
         assert gaussian_binomial(3, 0, Fraction(-1)) == 1
         assert gaussian_binomial(3, 3, Fraction(-1)) == 1
+
+    def test_q_minus_one_matches_the_q_pascal_recurrence(self):
+        # rows of [k, j] at q = -1 built on integers by
+        # [k, j] = [k-1, j-1] + (-1)**j [k-1, j], independently of the kernel
+        row = [1]
+        for k in range(1, 25):
+            row = [1] + [row[j - 1] + (-1) ** j * row[j] for j in range(1, k)] + [1]
+            assert [gaussian_binomial(k, j, -1) for j in range(k + 1)] == row
 
 
 class TestQBinomUPoly:

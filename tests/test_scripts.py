@@ -1,11 +1,14 @@
-"""The S_N column of scripts/padic_convergence.py.
+"""The scripts under scripts/.
 
-The script prints only the first characters of each truncated sum, so it
-reads them off leading digits instead of a full decimal conversion; the
-column must still be the ``format_rational`` text, cut the same way.
+padic_convergence.py prints only the first characters of each truncated
+sum S_N, so it reads them off leading digits instead of a full decimal
+conversion; the column must still be the ``format_rational`` text, cut the
+same way.  classical_limit_sweep.py must show its gaps to the classical
+basis shrinking linearly in |1 - q|.
 """
 
 import importlib.util
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -61,3 +64,18 @@ def test_deep_level_prints_without_lifting_the_digit_limit(script, monkeypatch, 
     assert script.main() == 0
     last = capsys.readouterr().out.splitlines()[-1].split()
     assert last[:2] == ["1", "8"] and last[2].endswith("...") and last[-1] == "8"
+
+
+SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "classical_limit_sweep.py"
+
+
+def test_classical_limit_gaps_shrink_linearly_in_one_minus_q():
+    # q = 1 - 10**-e for e = 1..7: each step cuts |1 - q| tenfold, and both
+    # gap columns must follow within a factor of two
+    argv = [sys.executable, str(SWEEP), "--nmax", "2", "--grid-steps", "4"]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True, cwd=SWEEP.parents[1])
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 7
+    for column in (1, 2):
+        gaps = [float(row[column]) for row in rows]
+        assert all(0 < later <= earlier / 5 for earlier, later in zip(gaps, gaps[1:]))

@@ -1,0 +1,156 @@
+"""The size rule, k, n, ... >= 0, is checked by one function.
+
+The guard test reads the source: every ``if`` that tests ``name < 0`` (or an
+``or`` of such tests) and raises must be ``kernel.require_nonnegative``.
+The refusal matrix calls every public function that takes a size with -1 in
+each size argument in turn, and checks that the message names the argument
+and that no E-table work ran first; 0 in the same argument must compute.
+"""
+
+from __future__ import annotations
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from qbernstein import euler
+from qbernstein.bernstein import degree_elevate, generating_coeffs, monomial_samples
+from qbernstein.euler import (
+    complement_moment,
+    euler_closed,
+    euler_number,
+    euler_poly,
+    euler_poly_closed,
+    euler_poly_real,
+    euler_table,
+    fermionic_sum,
+    moment,
+    reflection_check,
+)
+from qbernstein.integrals import (
+    IntegralInstance,
+    fermionic_basis_sum,
+    integral_basis,
+    integral_basis_reflected,
+    integral_product,
+)
+from qbernstein.kernel import DomainError, binomial_coeff
+from qbernstein.qcore import q_factorial, qbinom_upoly, stirling2
+from qbernstein.stirling import q_stirling2, qstirling_expansion_upoly
+from qbernstein.tables import emit_table
+from qbernstein.upoly import U, UPoly
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qbernstein"
+
+
+def _is_negative_test(node) -> bool:
+    """``name < 0``, or an ``or`` of such comparisons."""
+    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+        return all(_is_negative_test(value) for value in node.values)
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name)
+        and len(node.ops) == 1
+        and isinstance(node.ops[0], ast.Lt)
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value == 0
+    )
+
+
+def _size_checks(path: Path):
+    """Yield the qualified name of the function around each size check."""
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                for inner in ast.walk(child):
+                    if (
+                        isinstance(inner, ast.If)
+                        and _is_negative_test(inner.test)
+                        and any(isinstance(s, ast.Raise) for s in inner.body)
+                    ):
+                        yield f"{prefix}{child.name}"
+
+    yield from visit(ast.parse(path.read_text()), "")
+
+
+def test_the_size_rule_has_one_owner():
+    found = [(path.name, name) for path in sorted(SRC.glob("*.py")) for name in _size_checks(path)]
+    assert found == [("kernel.py", "require_nonnegative")]
+
+
+HALF = Fraction(1, 2)
+
+# (id, the argument's name, call with the size v in that argument)
+CASES = [
+    ("degree_elevate-k", "k", lambda v: degree_elevate((v, 2))),
+    ("degree_elevate-n", "n", lambda v: degree_elevate((0, v))),
+    ("monomial_samples-m", "m", lambda v: monomial_samples(v, 2)),
+    ("monomial_samples-n", "n", lambda v: monomial_samples(2, v)),
+    ("generating_coeffs-k", "k", lambda v: generating_coeffs(v, HALF, 3)),
+    ("generating_coeffs-order", "order", lambda v: generating_coeffs(1, HALF, v)),
+    ("euler_table", "nmax", lambda v: euler_table(HALF, v)),
+    ("euler_number", "n", lambda v: euler_number(v, HALF)),
+    ("euler_closed", "n", lambda v: euler_closed(v, HALF)),
+    ("euler_poly", "n", lambda v: euler_poly(v, 1, HALF)),
+    ("euler_poly_closed", "n", lambda v: euler_poly_closed(v, 1, HALF)),
+    ("euler_poly_real", "n", lambda v: euler_poly_real(v, 0.5, 0.5)),
+    ("reflection_check", "n", lambda v: reflection_check(v, 1, HALF)),
+    ("complement_moment", "n", lambda v: complement_moment(v, HALF)),
+    ("moment-s", "s", lambda v: moment(v, 2, HALF)),
+    ("moment-d", "d", lambda v: moment(2, v, HALF)),
+    ("fermionic_sum", "n", lambda v: fermionic_sum(v, 4, 3, 2)),
+    ("integral_basis", "k", lambda v: integral_basis(v, 2, HALF)),
+    ("integral_basis_reflected", "k", lambda v: integral_basis_reflected(v, 2, HALF)),
+    ("integral_product", "k", lambda v: integral_product(v, (1, 2), HALF)),
+    ("IntegralInstance", "k", lambda v: IntegralInstance(v, ((2, 1),), HALF)),
+    ("fermionic_basis_sum-k", "k", lambda v: fermionic_basis_sum(v, 2, 4, 3, 2)),
+    ("fermionic_basis_sum-n", "n", lambda v: fermionic_basis_sum(1, v, 4, 3, 2)),
+    ("binomial_coeff", "n", lambda v: binomial_coeff(v, 1)),
+    ("q_factorial", "k", lambda v: q_factorial(v, HALF)),
+    ("qbinom_upoly", "k", lambda v: qbinom_upoly(v, HALF)),
+    ("stirling2-m", "m", lambda v: stirling2(v, 1)),
+    ("stirling2-k", "k", lambda v: stirling2(2, v)),
+    ("q_stirling2-n", "n", lambda v: q_stirling2(v, 1, HALF)),
+    ("q_stirling2-k", "k", lambda v: q_stirling2(2, v, HALF)),
+    ("qstirling_expansion_upoly", "n", lambda v: qstirling_expansion_upoly(v, HALF)),
+    ("table-euler", "nmax", lambda v: emit_table("euler", {"q": HALF, "nmax": v})),
+    ("table-bernstein-k", "k", lambda v: emit_table("bernstein", {"k": v, "n": 2})),
+    ("table-bernstein-n", "n", lambda v: emit_table("bernstein", {"k": 0, "n": v})),
+    ("table-stirling", "nmax", lambda v: emit_table("stirling", {"nmax": v})),
+    ("table-q-stirling", "nmax", lambda v: emit_table("stirling", {"nmax": v, "q": HALF})),
+    ("UPoly.monomial", "power", lambda v: UPoly.monomial(v)),
+    ("UPoly.__pow__", "n", lambda v: U**v),
+]
+
+IDS = [case[0] for case in CASES]
+
+# The E-table's own size check runs inside _prefix, before the cache is read.
+INSIDE_PREFIX = {"euler_table", "table-euler"}
+
+
+class _UnreadCache(dict):
+    def get(self, *args):
+        raise AssertionError("the E-table cache was read")
+
+
+@pytest.mark.parametrize("case_id, name, call", CASES, ids=IDS)
+def test_negative_size_is_refused_by_the_owner(monkeypatch, case_id, name, call):
+    if case_id in INSIDE_PREFIX:
+        monkeypatch.setattr(euler, "_CACHE", _UnreadCache())
+    else:
+        def no_work(q, nmax):
+            raise AssertionError("the E-table was read")
+
+        monkeypatch.setattr(euler, "_prefix", no_work)
+    with pytest.raises(DomainError, match=f"^{name} must be nonnegative, got -1$"):
+        call(-1)
+
+
+@pytest.mark.parametrize("call", [case[2] for case in CASES], ids=IDS)
+def test_zero_size_computes(call):
+    call(0)
