@@ -19,17 +19,24 @@ from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
 
-from .bernstein import basis_eval_exact, basis_eval_real, monomial_samples, operator_eval_real
-from .euler import euler_number, fermionic_sum
+from .bernstein import (
+    basis_eval_exact,
+    basis_eval_real,
+    basis_upoly,
+    monomial_samples,
+    operator_eval_real,
+)
+from .euler import euler_number, euler_table, fermionic_sum
 from .kernel import (
     DomainError,
     format_rational,
     padic_valuation,
     parse_rational,
+    require_nonnegative,
     require_padic_convergence,
     require_pole_free,
 )
-from .tables import emit_table, render_rows
+from .tables import render_rows
 from .verify import DEFAULT_QS, SUITES, IdentityReport, VerifyConfig, run_verify_suite
 
 __all__ = ["main"]
@@ -217,27 +224,29 @@ def _check_euler_work(flag: str, n: int, q: Fraction) -> None:
 
 def _cmd_euler(args) -> int:
     _check_euler_work("--nmax", args.nmax, args.q)
-    data = emit_table("euler", {"q": args.q, "nmax": args.nmax}, args.format)
-    sys.stdout.buffer.write(data)
+    rows = [(n, format_rational(v)) for n, v in enumerate(euler_table(args.q, args.nmax).values)]
+    sys.stdout.buffer.write(render_rows(["n", "E"], rows, args.format))
     return 0
 
 
-def _check_bernstein_degree(n: int) -> None:
+def _check_bernstein_index(k: int, n: int) -> None:
+    # the work limit (exit 2) before the size rule (exit 3)
     if n > BERNSTEIN_NMAX_LIMIT:
         raise _UsageError(f"--n {n} exceeds the work limit {BERNSTEIN_NMAX_LIMIT}")
+    require_nonnegative(k, "k")
+    require_nonnegative(n, "n")
 
 
 def _cmd_bernstein_eval(args) -> int:
-    _check_bernstein_degree(args.n)
     exact = args.u is not None
-    floating = args.x is not None or args.q is not None
-    if exact and floating:
+    if exact and (args.x is not None or args.q is not None):
         raise _UsageError("give either --u (exact) or --x with --q (float), not both")
+    if not exact and (args.x is None or args.q is None):
+        raise _UsageError("the float path needs both --x and --q")
+    _check_bernstein_index(args.k, args.n)
     if exact:
         print(format_rational(basis_eval_exact((args.k, args.n), args.u)))
         return 0
-    if args.x is None or args.q is None:
-        raise _UsageError("the float path needs both --x and --q")
     try:
         value = basis_eval_real((args.k, args.n), args.x, args.q)
     except OverflowError as exc:
@@ -247,9 +256,10 @@ def _cmd_bernstein_eval(args) -> int:
 
 
 def _cmd_bernstein_upoly(args) -> int:
-    _check_bernstein_degree(args.n)
-    data = emit_table("bernstein", {"k": args.k, "n": args.n}, args.format)
-    sys.stdout.buffer.write(data)
+    _check_bernstein_index(args.k, args.n)
+    poly = basis_upoly((args.k, args.n))
+    rows = [(i, format_rational(poly.coeff(i))) for i in range(args.n + 1)]
+    sys.stdout.buffer.write(render_rows(["power", "coeff"], rows, args.format))
     return 0
 
 

@@ -294,6 +294,7 @@ def shift_moment(shift: int, m: int, q) -> Fraction:
     """
     if shift < 1:
         raise DomainError("shift must be a positive integer")
+    require_nonnegative(m, "m")
     return euler_poly(m, shift, q) + (-1) ** (shift - 1) * euler_number(m, q)
 
 
@@ -307,6 +308,7 @@ def shift_moment_sum(shift: int, m: int, q) -> Fraction:
     """
     if shift < 1:
         raise DomainError("shift must be a positive integer")
+    require_nonnegative(m, "m")
     q = to_rational(q)
     a, b = q.numerator, q.denominator
     total, u = 0, 0

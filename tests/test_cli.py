@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qbernstein.cli
-import qbernstein.tables
 from qbernstein.cli import (
     BERNSTEIN_NMAX_LIMIT,
     EULER_NMAX_LIMIT,
@@ -66,7 +65,7 @@ class TestEulerCommand:
         def no_table(q, nmax):
             raise AssertionError("the E-table was built")
 
-        monkeypatch.setattr(qbernstein.tables, "euler_table", no_table)
+        monkeypatch.setattr(qbernstein.cli, "euler_table", no_table)
         assert main(["euler", "--q", "1/2", "--nmax", str(EULER_NMAX_LIMIT + 1)]) == 2
         assert "work limit" in capsys.readouterr().err
 
@@ -74,7 +73,7 @@ class TestEulerCommand:
         def no_table(q, nmax):
             raise AssertionError("the E-table was built")
 
-        monkeypatch.setattr(qbernstein.tables, "euler_table", no_table)
+        monkeypatch.setattr(qbernstein.cli, "euler_table", no_table)
         # 61 * 20 bits exceeds EULER_WORK_LIMIT although 61 <= EULER_NMAX_LIMIT
         assert main(["euler", "--q", "1000003/1000000", "--nmax", "61"]) == 2
         assert "work limit" in capsys.readouterr().err
@@ -156,10 +155,32 @@ class TestBernsteinCommand:
         assert proc.returncode == 3
         assert proc.stderr == "domain error: k must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize(
+        "index, name", [(["--k", "-1", "--n", "3"], "k"), (["--k", "1", "--n", "-1"], "n")]
+    )
+    @pytest.mark.parametrize(
+        "path", [["--u", "1/2"], ["--x", "0.5", "--q", "0.5"]], ids=["exact", "float"]
+    )
+    def test_eval_negative_index_is_domain_error(self, index, name, path, monkeypatch, capsys):
+        def no_work(*a):
+            raise AssertionError("a basis member was evaluated")
+
+        monkeypatch.setattr(qbernstein.cli, "basis_eval_exact", no_work)
+        monkeypatch.setattr(qbernstein.cli, "basis_eval_real", no_work)
+        assert main(["bernstein", "eval", *index, *path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"domain error: {name} must be nonnegative, got -1\n"
+
     def test_upoly_csv(self):
         proc = run_cli("bernstein", "upoly", "--k", "1", "--n", "2")
         assert proc.returncode == 0
         assert proc.stdout == "power,coeff\n0,0\n1,2\n2,-2\n"
+
+    def test_upoly_pads_to_degree(self, capsys):
+        # B_{4,2} = 0: one zero row per power up to n
+        assert main(["bernstein", "upoly", "--k", "4", "--n", "2"]) == 0
+        assert capsys.readouterr().out == "power,coeff\n0,0\n1,0\n2,0\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -177,7 +198,7 @@ class TestBernsteinCommand:
 
         monkeypatch.setattr(qbernstein.cli, "basis_eval_exact", no_work)
         monkeypatch.setattr(qbernstein.cli, "basis_eval_real", no_work)
-        monkeypatch.setattr(qbernstein.cli, "emit_table", no_work)
+        monkeypatch.setattr(qbernstein.cli, "basis_upoly", no_work)
         assert main(["bernstein", *args]) == 2
         assert "work limit" in capsys.readouterr().err
 
@@ -499,7 +520,8 @@ class TestVerifyCommand:
 
 
 # sha256 of stdout, taken while `qb operator` and `qb padic` still wrote
-# their rows through hand-built csv writers of their own
+# their rows through hand-built csv writers of their own, and `qb euler` and
+# `qb bernstein upoly` through table kinds of `qbernstein.tables`
 PINNED_STDOUT = {
     "padic": (
         ["padic", "--p", "3", "--q", "4", "--n", "3", "--levels", "4"],
@@ -513,9 +535,17 @@ PINNED_STDOUT = {
         ["operator", "--f", "t^2", "--n", "4", "--q", "0.9", "--grid", "0:1:0.25", "--format", "json"],
         "583c8dd7c33d584ba83825dec032f4a3b2fae529f2bb382d0bc08c5c2274771b",
     ),
+    "euler-csv": (
+        ["euler", "--q", "1/2", "--nmax", "12"],
+        "22edcbfdb48de582189fdfbb907d34743c10f700bb572954b933f14a862374e8",
+    ),
     "euler-json": (
         ["euler", "--q", "5/4", "--nmax", "6", "--format", "json"],
         "695e7817ac56fd0b559b99497a78041e3a397cb10eb02b67e57b2bb5bb4892e6",
+    ),
+    "upoly-csv": (
+        ["bernstein", "upoly", "--k", "4", "--n", "2"],
+        "ecab2379e87cc76cb2f420b9bdef6d7ad60cd447f0006bd466ce49a9236a87aa",
     ),
     "upoly-json": (
         ["bernstein", "upoly", "--k", "2", "--n", "5", "--format", "json"],

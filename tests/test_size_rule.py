@@ -28,6 +28,8 @@ from qbernstein.euler import (
     fermionic_sum,
     moment,
     reflection_check,
+    shift_moment,
+    shift_moment_sum,
 )
 from qbernstein.integrals import (
     IntegralInstance,
@@ -39,7 +41,6 @@ from qbernstein.integrals import (
 from qbernstein.kernel import DomainError, binomial_coeff
 from qbernstein.qcore import q_factorial, qbinom_upoly, stirling2
 from qbernstein.stirling import q_stirling2, qstirling_expansion_upoly
-from qbernstein.tables import emit_table
 from qbernstein.upoly import U, UPoly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qbernstein"
@@ -101,6 +102,8 @@ CASES = [
     ("euler_poly_real", "n", lambda v: euler_poly_real(v, 0.5, 0.5)),
     ("reflection_check", "n", lambda v: reflection_check(v, 1, HALF)),
     ("complement_moment", "n", lambda v: complement_moment(v, HALF)),
+    ("shift_moment-m", "m", lambda v: shift_moment(1, v, HALF)),
+    ("shift_moment_sum-m", "m", lambda v: shift_moment_sum(1, v, HALF)),
     ("moment-s", "s", lambda v: moment(v, 2, HALF)),
     ("moment-d", "d", lambda v: moment(2, v, HALF)),
     ("fermionic_sum", "n", lambda v: fermionic_sum(v, 4, 3, 2)),
@@ -118,19 +121,11 @@ CASES = [
     ("q_stirling2-n", "n", lambda v: q_stirling2(v, 1, HALF)),
     ("q_stirling2-k", "k", lambda v: q_stirling2(2, v, HALF)),
     ("qstirling_expansion_upoly", "n", lambda v: qstirling_expansion_upoly(v, HALF)),
-    ("table-euler", "nmax", lambda v: emit_table("euler", {"q": HALF, "nmax": v})),
-    ("table-bernstein-k", "k", lambda v: emit_table("bernstein", {"k": v, "n": 2})),
-    ("table-bernstein-n", "n", lambda v: emit_table("bernstein", {"k": 0, "n": v})),
-    ("table-stirling", "nmax", lambda v: emit_table("stirling", {"nmax": v})),
-    ("table-q-stirling", "nmax", lambda v: emit_table("stirling", {"nmax": v, "q": HALF})),
     ("UPoly.monomial", "power", lambda v: UPoly.monomial(v)),
     ("UPoly.__pow__", "n", lambda v: U**v),
 ]
 
 IDS = [case[0] for case in CASES]
-
-# The E-table's own size check runs inside _prefix, before the cache is read.
-INSIDE_PREFIX = {"euler_table", "table-euler"}
 
 
 class _UnreadCache(dict):
@@ -140,7 +135,7 @@ class _UnreadCache(dict):
 
 @pytest.mark.parametrize("case_id, name, call", CASES, ids=IDS)
 def test_negative_size_is_refused_by_the_owner(monkeypatch, case_id, name, call):
-    if case_id in INSIDE_PREFIX:
+    if case_id == "euler_table":  # its size check runs inside _prefix, before the cache is read
         monkeypatch.setattr(euler, "_CACHE", _UnreadCache())
     else:
         def no_work(q, nmax):

@@ -1,62 +1,27 @@
 import json
-from fractions import Fraction
 
 import pytest
 
-from qbernstein.tables import emit_table
+from qbernstein.tables import render_rows
+
+HEADER = ["n", "E"]
+ROWS = [(0, "1"), (1, "-2/3"), (2, "-4/15")]
 
 
-def test_euler_csv_frozen():
-    data = emit_table("euler", {"q": Fraction(1, 2), "nmax": 2}, "csv")
-    assert data == b"n,E\n0,1\n1,-2/3\n2,-4/15\n"
+def test_csv_frozen():
+    assert render_rows(HEADER, ROWS, "csv") == b"n,E\n0,1\n1,-2/3\n2,-4/15\n"
 
 
-def test_euler_json():
-    data = emit_table("euler", {"q": Fraction(1, 2), "nmax": 2}, "json")
-    rows = json.loads(data)
-    assert rows == [
+def test_json():
+    data = render_rows(HEADER, ROWS, "json")
+    assert data.endswith(b"]\n")
+    assert json.loads(data) == [
         {"n": 0, "E": "1"},
         {"n": 1, "E": "-2/3"},
         {"n": 2, "E": "-4/15"},
     ]
 
 
-def test_bernstein_csv_frozen():
-    data = emit_table("bernstein", {"k": 1, "n": 2}, "csv")
-    assert data == b"power,coeff\n0,0\n1,2\n2,-2\n"
-
-
-def test_bernstein_pads_to_degree():
-    data = emit_table("bernstein", {"k": 4, "n": 2}, "csv")
-    assert data == b"power,coeff\n0,0\n1,0\n2,0\n"
-
-
-def test_stirling_classical():
-    data = emit_table("stirling", {"nmax": 3}, "csv").decode()
-    lines = data.splitlines()
-    assert lines[0] == "n,k,value"
-    assert "3,2,3" in lines
-    assert "3,3,1" in lines
-    assert "1,0,0" in lines
-
-
-def test_stirling_with_q():
-    data = emit_table("stirling", {"nmax": 3, "q": Fraction(1, 2)}, "csv").decode()
-    assert "3,2,5/2" in data.splitlines()  # s_q(3,2) = 2 + q
-
-
-def test_deterministic_bytes():
-    for kind, params in (
-        ("euler", {"q": Fraction(2, 3), "nmax": 6}),
-        ("bernstein", {"k": 2, "n": 5}),
-        ("stirling", {"nmax": 5, "q": Fraction(5, 4)}),
-    ):
-        for fmt in ("csv", "json"):
-            assert emit_table(kind, params, fmt) == emit_table(kind, params, fmt)
-
-
-def test_unknown_kind_and_format():
-    with pytest.raises(ValueError):
-        emit_table("fibonacci", {}, "csv")
-    with pytest.raises(ValueError):
-        emit_table("euler", {"q": Fraction(1, 2), "nmax": 1}, "yaml")
+def test_unknown_format():
+    with pytest.raises(ValueError, match="unknown format: 'yaml'"):
+        render_rows(HEADER, ROWS, "yaml")
