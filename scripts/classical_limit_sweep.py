@@ -12,8 +12,9 @@ Usage:
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qbernstein.bernstein import basis_derivative, basis_eval_real
 

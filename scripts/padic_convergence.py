@@ -16,8 +16,9 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qbernstein.euler import euler_number, fermionic_sum
 from qbernstein.kernel import format_rational, padic_valuation, parse_rational

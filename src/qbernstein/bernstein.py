@@ -31,7 +31,6 @@ __all__ = [
     "basis_eval_exact",
     "basis_eval_real",
     "basis_upoly",
-    "basis_upoly_printed",
     "decasteljau_eval",
     "degree_elevate",
     "generating_coeffs",
@@ -102,8 +101,8 @@ def basis_upoly(idx) -> UPoly:
     (-1)**(l-k) C(n,l) C(l,k) for k <= l <= n.
 
     A variant with C(l,k) C(n,k) coefficients circulates in print; it is
-    wrong in general (first separating instance n = 4, k = 1, l = 2) and is
-    kept only as ``basis_upoly_printed`` for the counterexample suite.
+    wrong in general (first separating instance n = 4, k = 1, l = 2), and
+    the counterexample suite holds its value at that instance.
     """
     k, n = idx
     if k < 0 or n < k:
@@ -111,21 +110,6 @@ def basis_upoly(idx) -> UPoly:
     return UPoly.from_numerators(
         [0] * k
         + [(-1) ** (l - k) * math.comb(n, l) * math.comb(l, k) for l in range(k, n + 1)]
-    )
-
-
-def basis_upoly_printed(idx) -> UPoly:
-    """Known-misprinted monomial expansion (C(l,k) C(n,k) coefficients).
-
-    False in general; retained solely so the verifier can demonstrate the
-    failure against the brute-force expansion.
-    """
-    k, n = idx
-    if k < 0 or n < k:
-        return UPoly.zero()
-    return UPoly.from_numerators(
-        [0] * k
-        + [(-1) ** (l - k) * math.comb(l, k) * math.comb(n, k) for l in range(k, n + 1)]
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 from fractions import Fraction
 from itertools import groupby
@@ -89,8 +90,16 @@ def _grid(text: str) -> tuple[float, float, float]:
     return start, end, step
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--q -3/2`` as a value, as argparse reads ``--n -1``; subparsers are _Parsers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qb",
         description="Exact q-Bernstein / q-Euler / q-Stirling tables and identity verification.",
     )
@@ -307,8 +316,6 @@ def _cmd_operator(args) -> int:
     if args.f is not None:
         if args.n is None:
             raise _UsageError("--f needs --n (the operator degree)")
-        if args.n < 0:
-            raise _UsageError("--n must be nonnegative")
         m, n = _parse_monomial_spec(args.f), args.n
     else:
         m, n = 0, len(args.samples) - 1

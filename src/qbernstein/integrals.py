@@ -11,8 +11,8 @@ at the reciprocal parameter 1/q.  Equality of the two routes is a central
 family of identities the verifier checks.
 
 ``_checked`` owns the input rule of every public form (q off the poles 0,
-1 and -1, k >= 0, factors n_i >= 0 with m_i >= 1), and ``_reflected_route``
-the reflected route's domain T = sum m_i n_i > kM = k sum m_i.
+1 and -1, k >= 0, factors n_i >= 0 with m_i >= 1), and ``_reflected`` the
+reflected route's domain T = sum m_i n_i > kM = k sum m_i.
 
 The reflected forms that circulate in print keep the parameter q instead of
 1/q.  Each printed form is therefore the corrected reflected route called
@@ -74,22 +74,17 @@ def _direct(k: int, pairs, q: Fraction) -> Fraction:
     return moment(kM, sum(n * m for n, m in pairs) - kM, q, coeff)
 
 
-def _reflected(k: int, pairs, qr: Fraction) -> Fraction:
-    """prod_i C(n_i,k)**m_i sum_j C(kM,j) (-1)**j E_{T-kM+j,qr}, or
-    2 + E_{T,qr} when kM = 0; needs T > kM."""
+def _reflected(k: int, pairs, q: Fraction) -> Fraction:
+    """prod_i C(n_i,k)**m_i sum_j C(kM,j) (-1)**j E_{T-kM+j,1/q}, or
+    2 + E_{T,1/q} when kM = 0; the route's domain is T > kM."""
     total = sum(n * m for n, m in pairs)
     kM = k * sum(m for _, m in pairs)
-    if kM == 0:
-        return 2 + euler_number(total, qr)
-    coeff = math.prod(binomial_coeff(n, k) ** m for n, m in pairs)
-    return moment(total - kM, kM, qr, coeff)
-
-
-def _reflected_route(k: int, pairs, q: Fraction) -> Fraction:
-    """``_reflected`` at the reciprocal parameter 1/q, in its domain T > kM."""
-    if sum(n * m for n, m in pairs) <= k * sum(m for _, m in pairs):
+    if total <= kM:
         raise DomainError("the reflected route needs T > kM (sum m_i n_i > k sum m_i)")
-    return _reflected(k, pairs, 1 / q)
+    if kM == 0:
+        return 2 + euler_number(total, 1 / q)
+    coeff = math.prod(binomial_coeff(n, k) ** m for n, m in pairs)
+    return moment(total - kM, kM, 1 / q, coeff)
 
 
 class IntegralInstance(FrozenRecord):
@@ -138,7 +133,7 @@ def integral_basis_reflected(k: int, n: int, q) -> Fraction:
     this function at q = 2, -4/3, where the moment is 2/15.
     """
     pairs = ((n, 1),)
-    return _reflected_route(k, pairs, _checked(k, pairs, q))
+    return _reflected(k, pairs, _checked(k, pairs, q))
 
 
 def integral_product(k: int, ns, q, method: str = "direct") -> Fraction:
@@ -159,7 +154,7 @@ def integral_product(k: int, ns, q, method: str = "direct") -> Fraction:
     if method == "direct":
         return _direct(k, pairs, q)
     if method == "reflected":
-        return _reflected_route(k, pairs, q)
+        return _reflected(k, pairs, q)
     raise DomainError(f"unknown method: {method!r}")
 
 
@@ -171,7 +166,7 @@ def integral_power_product(instance: IntegralInstance) -> Fraction:
     additive 2 cancels under the alternating sum whenever kM > 0.  Needs
     T > kM.  Cross-checked against ``integral_power_product_direct``.
     """
-    return _reflected_route(instance.k, instance.degrees, instance.q)
+    return _reflected(instance.k, instance.degrees, instance.q)
 
 
 def integral_power_product_direct(instance: IntegralInstance) -> Fraction:

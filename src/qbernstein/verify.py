@@ -572,8 +572,9 @@ def _printed_counterexamples(suites):
     """The misprinted variants of the selected suites, each expected to fail."""
     half = Fraction(1, 2)
     if "bernstein" in suites:
+        # the printed coefficients (-1)**(l-k) C(l,k) C(n,k) of B_{1,4}
+        printed = UPoly((0, 4, -8, 12, -16))
         params = {"k": 1, "n": 4}
-        printed = qb.basis_upoly_printed((1, 4))
         yield "bernstein.monomial_expansion_printed", params, printed, _brute_basis_upoly(1, 4)
     if "euler" in suites:
         complement, reflected = complement_moment(1, half), 2 + euler_number(1, half)

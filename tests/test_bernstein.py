@@ -10,7 +10,6 @@ from qbernstein.bernstein import (
     basis_eval_exact,
     basis_eval_real,
     basis_upoly,
-    basis_upoly_printed,
     decasteljau_eval,
     degree_elevate,
     generating_coeffs,
@@ -162,16 +161,9 @@ class TestBasisUPoly:
                 assert basis_upoly((k, n)) == brute_expansion(k, n)
 
     def test_printed_variant_fails_at_the_documented_instance(self):
-        # the misprinted coefficients first separate at n = 4, k = 1, l = 2
-        printed = basis_upoly_printed((1, 4))
-        assert printed != brute_expansion(1, 4)
-        assert printed.coeff(2) == Fraction(-8)
+        # the misprinted coefficients first separate at n = 4, k = 1, l = 2,
+        # where the printed form has -8
         assert basis_upoly((1, 4)).coeff(2) == Fraction(-12)
-
-    def test_printed_variant_coincides_on_top_index(self):
-        # k = n is one of the instances where the misprint is invisible
-        for n in range(6):
-            assert basis_upoly_printed((n, n)) == brute_expansion(n, n)
 
     def test_partition_of_unity_as_polynomials(self):
         for n in range(17):

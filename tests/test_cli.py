@@ -252,6 +252,12 @@ class TestOperatorCommand:
         proc = run_cli("operator", "--f", "exp(t)", "--n", "4", "--q", "0.9")
         assert proc.returncode == 2
 
+    def test_negative_degree_is_domain_error(self):
+        proc = run_cli("operator", "--f", "t^2", "--n", "-1", "--q", "0.5")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "domain error: n must be nonnegative, got -1\n"
+
     def test_json_format(self):
         proc = run_cli(
             "operator", "--f", "t^1", "--n", "3", "--q", "0.9", "--grid", "0:1:0.5",
@@ -572,6 +578,32 @@ def test_in_process_main(capsys):
 def test_missing_subcommand_exits_2():
     proc = run_cli()
     assert proc.returncode == 2
+
+
+# a negative rational after a space, against the same value after "="
+NEGATIVE_RATIONALS = [
+    ["euler", "--q", "-3/2", "--nmax", "7"],
+    ["verify", "--suite", "stirling", "--q", "-7/3"],
+    ["bernstein", "eval", "--k", "1", "--n", "3", "--u", "-1/2"],
+    ["padic", "--q", "-5/4", "--n", "2", "--levels", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_RATIONALS, ids=[argv[0] for argv in NEGATIVE_RATIONALS])
+def test_negative_rational_after_a_space_is_a_value(argv):
+    at = next(i for i, arg in enumerate(argv) if "/" in arg)
+    joined = argv[: at - 1] + [f"{argv[at - 1]}={argv[at]}"] + argv[at + 1 :]
+    spaced, equals = run_cli(*argv), run_cli(*joined)
+    assert spaced.returncode == 0, spaced.stderr
+    assert (spaced.stdout, spaced.stderr) == (equals.stdout, equals.stderr)
+    assert spaced.returncode == equals.returncode
+
+
+@pytest.mark.parametrize("value", [["--nmax", "7"], ["-x", "--nmax", "7"]], ids=["missing", "-x"])
+def test_option_after_an_option_is_still_a_usage_error(value):
+    proc = run_cli("euler", "--q", *value)
+    assert proc.returncode == 2
+    assert "expected one argument" in proc.stderr
 
 
 _INT = st.integers(-2, 12).map(str)

@@ -8,6 +8,7 @@ basis shrinking linearly in |1 - q|.
 """
 
 import importlib.util
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -79,3 +80,12 @@ def test_classical_limit_gaps_shrink_linearly_in_one_minus_q():
     for column in (1, 2):
         gaps = [float(row[column]) for row in rows]
         assert all(0 < later <= earlier / 5 for earlier, later in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("path", [SCRIPT, SWEEP], ids=lambda path: path.name)
+def test_script_runs_from_any_directory(path, tmp_path):
+    # without PYTHONPATH, the script alone must find the package
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = [sys.executable, str(path), "--nmax", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,8 @@
 """The size rule, k, n, ... >= 0, is checked by one function.
 
-The guard test reads the source: every ``if`` that tests ``name < 0`` (or an
-``or`` of such tests) and raises must be ``kernel.require_nonnegative``.
+The guard test reads the source: every ``if`` that tests ``name < 0`` or
+``obj.attr < 0`` (or an ``or`` of such tests) and raises must be
+``kernel.require_nonnegative``.
 The refusal matrix calls every public function that takes a size with -1 in
 each size argument in turn, and checks that the message names the argument
 and that no E-table work ran first; 0 in the same argument must compute.
@@ -47,12 +48,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "qbernstein"
 
 
 def _is_negative_test(node) -> bool:
-    """``name < 0``, or an ``or`` of such comparisons."""
+    """``name < 0`` or ``obj.attr < 0``, or an ``or`` of such comparisons."""
     if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
         return all(_is_negative_test(value) for value in node.values)
     return (
         isinstance(node, ast.Compare)
-        and isinstance(node.left, ast.Name)
+        and isinstance(node.left, (ast.Name, ast.Attribute))
         and len(node.ops) == 1
         and isinstance(node.ops[0], ast.Lt)
         and isinstance(node.comparators[0], ast.Constant)

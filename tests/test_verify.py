@@ -48,6 +48,16 @@ def test_counterexamples_fail_as_expected():
     assert "integrals.basis_reflected_printed" in ids
 
 
+def test_printed_basis_expansion_is_the_documented_instance():
+    # the printed coefficients (-1)**(l-k) C(l,k) C(n,k) at k = 1, n = 4
+    entry = verify._entry(next(verify._printed_counterexamples({"bernstein"})))
+    assert entry.identity_id == "bernstein.monomial_expansion_printed"
+    assert entry.params == {"k": "1", "n": "4"}
+    assert entry.lhs == "[0, 4, -8, 12, -16]"
+    assert entry.rhs == "[0, 4, -12, 12, -4]"
+    assert entry.verdict == "fail"
+
+
 def test_entries_are_sorted():
     report = run_verify_suite(VerifyConfig(suite="stirling", qs=(Fraction(1, 2),)))
     keys = [e.sort_key for e in report.entries]
