@@ -24,7 +24,6 @@ from .euler import (
     euler_number,
     euler_poly,
     euler_poly_closed,
-    euler_poly_real,
     euler_table,
     fermionic_sum,
     reflection_check,
@@ -86,7 +85,6 @@ __all__ = [
     "euler_number",
     "euler_poly",
     "euler_poly_closed",
-    "euler_poly_real",
     "euler_table",
     "fermionic_basis_sum",
     "fermionic_sum",

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .kernel import (
     DomainError,
     binomial_coeff,
+    require_nonempty,
     require_nonnegative,
     require_real_domain,
     to_rational,
@@ -120,8 +121,7 @@ def decasteljau_eval(coeffs, u) -> Fraction:
     single survivor equals the direct basis sum, exactly.
     """
     work = [to_rational(c) for c in coeffs]
-    if not work:
-        raise DomainError("coefficient list must be nonempty")
+    require_nonempty(work, "coefficient list")
     u = to_rational(u)
     w = 1 - u
     while len(work) > 1:
@@ -183,8 +183,7 @@ def operator_apply(samples, u, method: str = "direct") -> Fraction:
     value, and one Fraction is built at the end.
     """
     vals = [to_rational(s) for s in samples]
-    if not vals:
-        raise DomainError("samples must be nonempty")
+    require_nonempty(vals, "samples")
     n = len(vals) - 1
     u = to_rational(u)
     if method not in OPERATOR_METHODS:
@@ -210,8 +209,7 @@ def operator_apply(samples, u, method: str = "direct") -> Fraction:
 def operator_eval_real(samples, x: float, q: float) -> float:
     """Floating-path operator value at u = [x]_q (u = x when q = 1)."""
     vals = [float(s) for s in samples]
-    if not vals:
-        raise DomainError("samples must be nonempty")
+    require_nonempty(vals, "samples")
     n = len(vals) - 1
     return sum(f * basis_eval_real((k, n), x, q) for k, f in enumerate(vals))
 

@@ -22,15 +22,13 @@ from typing import NamedTuple
 from .kernel import (
     DomainError,
     FrozenRecord,
-    binomial_coeff,
     require_nonnegative,
     require_padic_convergence,
     require_pole_free,
     require_q_power_domain,
-    require_real_pole_free,
     to_rational,
 )
-from .qcore import q_number_int, q_number_real
+from .qcore import q_number_int
 
 __all__ = [
     "EulerTable",
@@ -39,7 +37,6 @@ __all__ = [
     "euler_number",
     "euler_poly",
     "euler_poly_closed",
-    "euler_poly_real",
     "euler_table",
     "fermionic_sum",
     "moment",
@@ -251,39 +248,6 @@ def euler_poly_closed(n: int, x: int, q) -> Fraction:
         total += math.comb(n, l) * power * d ** (n - l) * (lcm // s)
         power *= -bc
     return Fraction(2 * b**n * total, (b - a) ** n * d**n * lcm)
-
-
-def euler_poly_real(n: int, x: float, q: float) -> float:
-    """Floating overload of ``euler_poly`` for real x; needs a finite q > 0,
-    q != 1, and an x that is not nan.
-
-    E_0(x) = 1 for every x.  An infinite x gives the limit where it exists:
-    q**x -> 0 leaves (1-q)**-n (x = +inf at q < 1, x = -inf at q > 1).
-    Where q**x grows without bound, E_n(x) for n >= 1 diverges:
-    ``DomainError``.  At a finite x where q**x or [x]_q**n overflows, E_n(x)
-    for n >= 1 is itself past the float range: ``OverflowError``.
-    """
-    require_real_pole_free(x, q)
-    require_nonnegative(n, "n")
-    if n == 0:
-        return 1.0
-    if q > 1:
-        # The recurrence below loses all precision for q > 1; the reflection
-        # E_{n,q}(x) = (-q)**-n E_{n,1/q}(1-x) keeps it at 1/q < 1.
-        return euler_poly_real(n, 1.0 - x, 1.0 / q) / (-q) ** n
-    if x == math.inf:
-        return (1.0 - q) ** -n
-    if x == -math.inf:
-        raise DomainError(f"E_{n}(x) diverges as q**x grows without bound")
-    values = [1.0]
-    for m in range(1, n + 1):
-        acc = sum(binomial_coeff(m, l) * q**l * values[l] for l in range(m))
-        values.append(-acc / (1.0 + q**m))
-    ux = q_number_real(x, q)
-    return sum(
-        binomial_coeff(n, l) * q ** (l * x) * values[l] * ux ** (n - l)
-        for l in range(n + 1)
-    )
 
 
 def shift_moment(shift: int, m: int, q) -> Fraction:

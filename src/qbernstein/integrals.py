@@ -33,6 +33,7 @@ from .kernel import (
     DomainError,
     FrozenRecord,
     binomial_coeff,
+    require_nonempty,
     require_nonnegative,
     require_padic_convergence,
     require_pole_free,
@@ -55,8 +56,7 @@ def _checked(k: int, pairs, q) -> Fraction:
     least one (n_i, m_i) pair, each with n_i >= 0 and m_i >= 1."""
     q = require_pole_free(q)
     require_nonnegative(k, "k")
-    if not pairs:
-        raise DomainError("at least one factor is required")
+    require_nonempty(pairs, "the factor list")
     for n, m in pairs:
         if n < 0 or m < 1:
             raise DomainError("need n_i >= 0 and m_i >= 1")

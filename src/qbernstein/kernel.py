@@ -21,6 +21,7 @@ __all__ = [
     "is_odd_prime",
     "padic_valuation",
     "parse_rational",
+    "require_nonempty",
     "require_nonnegative",
     "require_padic_convergence",
     "require_pole_free",
@@ -170,15 +171,21 @@ def require_nonnegative(value: int, name: str) -> None:
         raise DomainError(f"{name} must be nonnegative, got {value}")
 
 
+def require_nonempty(values, name: str) -> None:
+    """The nonempty rule: a sample set, coefficient list or factor list has
+    at least one entry."""
+    if not values:
+        raise DomainError(f"{name} must be nonempty")
+
+
 def require_padic_convergence(q: Fraction, p: int, level: int) -> None:
     """Preconditions of a truncated alternating sum over x < p**level: an
     odd prime p, level >= 1, and the convergence regime |q|_p <= 1,
     |1-q|_p < 1 in which the sums tend p-adically to their limits."""
-    if not is_odd_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
+    v_q = padic_valuation(q, p)  # refuses a p that is not an odd prime, before the level
     if level < 1:
         raise DomainError(f"level must be >= 1, got {level}")
-    if padic_valuation(q, p) < 0 or padic_valuation(q - 1, p) < 1:
+    if v_q < 0 or padic_valuation(q - 1, p) < 1:
         raise DomainError("need |q|_p <= 1 and |1-q|_p < 1 for p-adic convergence")
 
 

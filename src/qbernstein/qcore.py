@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .kernel import (
-    DomainError,
+    require_nonempty,
     require_nonnegative,
     require_q_power_domain,
     require_qfactorial_domain,
@@ -125,8 +125,7 @@ def forward_differences(samples) -> list[Fraction | int]:
     other exact sample is coerced to a Fraction.
     """
     vals = [s if type(s) is int else to_rational(s) for s in samples]
-    if not vals:
-        raise DomainError("samples must be nonempty")
+    require_nonempty(vals, "samples")
     out = [vals[0]]
     while len(vals) > 1:
         vals = [b - a for a, b in zip(vals, vals[1:])]
@@ -143,8 +142,7 @@ def forward_differences_binomial(samples) -> list[Fraction | int]:
     ``forward_differences``.
     """
     vals = [s if type(s) is int else to_rational(s) for s in samples]
-    if not vals:
-        raise DomainError("samples must be nonempty")
+    require_nonempty(vals, "samples")
     return [
         sum(math.comb(k, j) * (-1) ** (k - j) * vals[j] for j in range(k + 1))
         for k in range(len(vals))

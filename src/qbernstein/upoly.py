@@ -262,21 +262,6 @@ class UPoly:
     def __repr__(self) -> str:
         return f"UPoly([{self._coeff_list()}])"
 
-    def __str__(self) -> str:
-        if not self._num:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*u")
-            else:
-                parts.append(f"{c}*u^{i}")
-        return " + ".join(parts)
-
 
 # The indeterminate itself.
 U = UPoly((0, 1))

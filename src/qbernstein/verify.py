@@ -65,6 +65,7 @@ from .kernel import (
     binomial_coeff,
     format_rational,
     padic_valuation,
+    require_nonempty,
     require_pole_free,
 )
 from .qcore import gaussian_binomial, stirling2
@@ -117,8 +118,7 @@ class VerifyConfig(FrozenRecord):
         self._init(suite, qs, nmax, smax, kmax, include_printed_counterexamples)
         if suite != "all" and suite not in SUITES:
             raise DomainError(f"unknown suite: {suite!r}")
-        if not qs:
-            raise DomainError("the q sample set must be nonempty")
+        require_nonempty(qs, "the q sample set")
         for i, q in enumerate(qs):
             if q in qs[:i]:
                 raise DomainError(f"q = {format_rational(q)} is repeated in the q sample set")

@@ -18,7 +18,6 @@ from qbernstein.bernstein import (
     operator_apply,
     operator_eval_real,
 )
-from qbernstein.euler import euler_poly_real
 from qbernstein.kernel import DomainError, binomial_coeff
 from qbernstein.qcore import q_number_real, stirling2
 from qbernstein.upoly import U, UPoly
@@ -403,7 +402,6 @@ _FLOAT_PATH = {
     "basis_derivative": lambda x, q: basis_derivative((1, 2), x, q),
     "basis_derivative-constant": lambda x, q: basis_derivative((0, 0), x, q),
     "q_number_real": q_number_real,
-    "euler_poly_real": lambda x, q: euler_poly_real(2, x, q),
 }
 
 
@@ -416,6 +414,6 @@ def test_float_path_needs_finite_positive_q_and_a_number_x(name, x, q):
         _FLOAT_PATH[name](x, q)
 
 
-@pytest.mark.parametrize("name", sorted(set(_FLOAT_PATH) - {"euler_poly_real"}))
+@pytest.mark.parametrize("name", sorted(_FLOAT_PATH))
 def test_basis_float_path_takes_an_infinite_x(name):
     assert not math.isnan(_FLOAT_PATH[name](math.inf, 0.5))

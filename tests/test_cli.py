@@ -580,18 +580,20 @@ def test_missing_subcommand_exits_2():
     assert proc.returncode == 2
 
 
-# a negative rational after a space, against the same value after "="
-NEGATIVE_RATIONALS = [
-    ["euler", "--q", "-3/2", "--nmax", "7"],
-    ["verify", "--suite", "stirling", "--q", "-7/3"],
-    ["bernstein", "eval", "--k", "1", "--n", "3", "--u", "-1/2"],
-    ["padic", "--q", "-5/4", "--n", "2", "--levels", "3"],
-]
+# a negative number after a space, against the same value after "="
+NEGATIVE_VALUES = {
+    "euler": ["euler", "--q", "-3/2", "--nmax", "7"],
+    "verify": ["verify", "--suite", "stirling", "--q", "-7/3"],
+    "bernstein": ["bernstein", "eval", "--k", "1", "--n", "3", "--u", "-1/2"],
+    "padic": ["padic", "--q", "-5/4", "--n", "2", "--levels", "3"],
+    "exponent-float": ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "-1e-3", "--q", "0.5"],
+    "grid": ["operator", "--f", "t", "--n", "1", "--q", "0.5", "--grid", "-1:1:0.5"],
+}
 
 
-@pytest.mark.parametrize("argv", NEGATIVE_RATIONALS, ids=[argv[0] for argv in NEGATIVE_RATIONALS])
+@pytest.mark.parametrize("argv", list(NEGATIVE_VALUES.values()), ids=list(NEGATIVE_VALUES))
 def test_negative_rational_after_a_space_is_a_value(argv):
-    at = next(i for i, arg in enumerate(argv) if "/" in arg)
+    at = next(i for i, arg in enumerate(argv) if re.match(r"-[\d.]", arg))
     joined = argv[: at - 1] + [f"{argv[at - 1]}={argv[at]}"] + argv[at + 1 :]
     spaced, equals = run_cli(*argv), run_cli(*joined)
     assert spaced.returncode == 0, spaced.stderr

@@ -13,7 +13,6 @@ from qbernstein.euler import (
     euler_number,
     euler_poly,
     euler_poly_closed,
-    euler_poly_real,
     euler_table,
     fermionic_sum,
     moment,
@@ -167,50 +166,9 @@ class TestEulerPoly:
                 for x in range(-2, 4):
                     assert euler_poly(n, x, q) == euler_poly_closed(n, x, q)
 
-    def test_real_overload_matches_exact_at_integers(self):
-        for n in range(6):
-            for x in range(0, 3):
-                exact = float(euler_poly(n, x, Fraction(1, 2)))
-                assert euler_poly_real(n, float(x), 0.5) == pytest.approx(exact, rel=1e-9, abs=1e-12)
-
-    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 2), Fraction(3)], ids=str)
-    def test_real_overload_holds_precision_for_every_q(self, q):
-        # for q > 1 the float recurrence alone lost every digit by n = 20
-        for n in range(21):
-            for x in range(-2, 4):
-                exact = float(euler_poly(n, x, q))
-                assert euler_poly_real(n, float(x), float(q)) == pytest.approx(exact, rel=1e-8)
-
-    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
-    def test_real_overload_takes_the_limit_at_infinite_x(self, q):
-        # q**x -> 0 leaves (1-q)**-n: x -> +inf at q < 1, x -> -inf at 1/q > 1
-        for n in range(8):
-            assert euler_poly_real(n, math.inf, q) == pytest.approx((1 - q) ** -n)
-            assert euler_poly_real(n, 400.0, q) == pytest.approx((1 - q) ** -n)
-            assert euler_poly_real(n, -math.inf, 1 / q) == pytest.approx((1 - 1 / q) ** -n)
-            assert euler_poly_real(n, -400.0, 1 / q) == pytest.approx((1 - 1 / q) ** -n)
-
-    @pytest.mark.parametrize("q", [0.3, 0.5, 1.5, 3.0])
-    def test_real_overload_diverges_where_q_to_the_x_grows(self, q):
-        x = -math.inf if q < 1 else math.inf
-        assert euler_poly_real(0, x, q) == 1.0
-        for n in range(1, 8):
-            with pytest.raises(DomainError, match="diverges"):
-                euler_poly_real(n, x, q)
-
-    def test_real_overload_past_the_float_range_at_a_finite_x(self):
-        # E_0(x) = 1 for every x; for n >= 1 the value itself overflows
-        assert euler_poly_real(0, -1e300, 0.5) == 1.0
-        with pytest.raises(OverflowError):
-            euler_poly_real(2, -1000.0, 0.5)
-        with pytest.raises(OverflowError):
-            euler_poly_real(3, 2000.0, 2.0)
-
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             euler_poly(2, 1, Fraction(1))
-        with pytest.raises(DomainError):
-            euler_poly_real(2, 0.5, 1.0)
 
     def test_negative_x_at_q_zero_is_refused_before_any_work(self, monkeypatch):
         def no_work(q, nmax):

@@ -100,6 +100,7 @@ def test_padic_is_multiplicative(a, b, p):
         (Fraction(4), 3, 0, "level must be >= 1, got 0"),
         (Fraction(1, 3), 3, 1, "need |q|_p <= 1 and |1-q|_p < 1"),
         (Fraction(2), 3, 1, "need |q|_p <= 1 and |1-q|_p < 1"),
+        (Fraction(4), 9, 0, "p must be an odd prime, got 9"),  # p is refused before the level
     ],
 )
 def test_padic_convergence_preconditions(q, p, level, message):

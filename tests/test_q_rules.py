@@ -23,7 +23,6 @@ from qbernstein.euler import (
     euler_number,
     euler_poly,
     euler_poly_closed,
-    euler_poly_real,
     euler_table,
     moment,
     reflection_check,
@@ -250,10 +249,8 @@ FLOAT_PATH = r"^q = 1 is a pole of the floating path \(1 - q\*\*x\) / \(1 - q\)$
     "call",
     [
         lambda q: q_number_real(0.5, q),
-        lambda q: euler_poly_real(0, 0.5, q),  # refused at n = 0 too
-        lambda q: euler_poly_real(3, 0.5, q),
     ],
-    ids=["q_number_real", "euler_poly_real-n0", "euler_poly_real-n3"],
+    ids=["q_number_real"],
 )
 def test_float_path_refuses_q_one_with_one_message(call, q):
     with pytest.raises(DomainError, match=FLOAT_PATH):
@@ -262,6 +259,4 @@ def test_float_path_refuses_q_one_with_one_message(call, q):
 
 def test_float_path_neighbours_compute():
     assert q_number_real(2.0, 2.0) == 3.0
-    assert euler_poly_real(0, 0.5, 2.0) == 1.0
-    assert euler_poly_real(1, 0.0, 0.5) == pytest.approx(float(euler_number(1, Fraction(1, 2))))
 

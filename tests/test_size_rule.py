@@ -1,11 +1,14 @@
-"""The size rule, k, n, ... >= 0, is checked by one function.
+"""The size rule, k, n, ... >= 0, and the nonempty rule are each checked
+by one function.
 
-The guard test reads the source: every ``if`` that tests ``name < 0`` or
+The guard tests read the source: every ``if`` that tests ``name < 0`` or
 ``obj.attr < 0`` (or an ``or`` of such tests) and raises must be
-``kernel.require_nonnegative``.
+``kernel.require_nonnegative``, and every ``if not name`` that raises
+``DomainError`` must be ``kernel.require_nonempty``.
 The refusal matrix calls every public function that takes a size with -1 in
 each size argument in turn, and checks that the message names the argument
 and that no E-table work ran first; 0 in the same argument must compute.
+A second matrix calls each caller of the nonempty rule with an empty list.
 """
 
 from __future__ import annotations
@@ -17,14 +20,20 @@ from pathlib import Path
 import pytest
 
 from qbernstein import euler
-from qbernstein.bernstein import degree_elevate, generating_coeffs, monomial_samples
+from qbernstein.bernstein import (
+    decasteljau_eval,
+    degree_elevate,
+    generating_coeffs,
+    monomial_samples,
+    operator_apply,
+    operator_eval_real,
+)
 from qbernstein.euler import (
     complement_moment,
     euler_closed,
     euler_number,
     euler_poly,
     euler_poly_closed,
-    euler_poly_real,
     euler_table,
     fermionic_sum,
     moment,
@@ -40,9 +49,16 @@ from qbernstein.integrals import (
     integral_product,
 )
 from qbernstein.kernel import DomainError, binomial_coeff
-from qbernstein.qcore import q_factorial, qbinom_upoly, stirling2
+from qbernstein.qcore import (
+    forward_differences,
+    forward_differences_binomial,
+    q_factorial,
+    qbinom_upoly,
+    stirling2,
+)
 from qbernstein.stirling import q_stirling2, qstirling_expansion_upoly
 from qbernstein.upoly import U, UPoly
+from qbernstein.verify import VerifyConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qbernstein"
 
@@ -61,8 +77,29 @@ def _is_negative_test(node) -> bool:
     )
 
 
-def _size_checks(path: Path):
-    """Yield the qualified name of the function around each size check."""
+def _is_size_check(node: ast.If) -> bool:
+    return _is_negative_test(node.test) and any(isinstance(s, ast.Raise) for s in node.body)
+
+
+def _is_nonempty_check(node: ast.If) -> bool:
+    """``if not name:`` whose body raises ``DomainError``."""
+    return (
+        isinstance(node.test, ast.UnaryOp)
+        and isinstance(node.test.op, ast.Not)
+        and isinstance(node.test.operand, ast.Name)
+        and any(
+            isinstance(s, ast.Raise)
+            and isinstance(s.exc, ast.Call)
+            and isinstance(s.exc.func, ast.Name)
+            and s.exc.func.id == "DomainError"
+            for s in node.body
+        )
+    )
+
+
+def _checks(path: Path, is_check):
+    """Yield the qualified name of the function around each ``if`` that
+    ``is_check`` accepts."""
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
@@ -70,19 +107,23 @@ def _size_checks(path: Path):
                 yield from visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, ast.FunctionDef):
                 for inner in ast.walk(child):
-                    if (
-                        isinstance(inner, ast.If)
-                        and _is_negative_test(inner.test)
-                        and any(isinstance(s, ast.Raise) for s in inner.body)
-                    ):
+                    if isinstance(inner, ast.If) and is_check(inner):
                         yield f"{prefix}{child.name}"
 
     yield from visit(ast.parse(path.read_text()), "")
 
 
+def _owners(is_check):
+    paths = sorted(SRC.glob("*.py"))
+    return [(path.name, name) for path in paths for name in _checks(path, is_check)]
+
+
 def test_the_size_rule_has_one_owner():
-    found = [(path.name, name) for path in sorted(SRC.glob("*.py")) for name in _size_checks(path)]
-    assert found == [("kernel.py", "require_nonnegative")]
+    assert _owners(_is_size_check) == [("kernel.py", "require_nonnegative")]
+
+
+def test_the_nonempty_rule_has_one_owner():
+    assert _owners(_is_nonempty_check) == [("kernel.py", "require_nonempty")]
 
 
 HALF = Fraction(1, 2)
@@ -100,7 +141,6 @@ CASES = [
     ("euler_closed", "n", lambda v: euler_closed(v, HALF)),
     ("euler_poly", "n", lambda v: euler_poly(v, 1, HALF)),
     ("euler_poly_closed", "n", lambda v: euler_poly_closed(v, 1, HALF)),
-    ("euler_poly_real", "n", lambda v: euler_poly_real(v, 0.5, 0.5)),
     ("reflection_check", "n", lambda v: reflection_check(v, 1, HALF)),
     ("complement_moment", "n", lambda v: complement_moment(v, HALF)),
     ("shift_moment-m", "m", lambda v: shift_moment(1, v, HALF)),
@@ -150,3 +190,23 @@ def test_negative_size_is_refused_by_the_owner(monkeypatch, case_id, name, call)
 @pytest.mark.parametrize("call", [case[2] for case in CASES], ids=IDS)
 def test_zero_size_computes(call):
     call(0)
+
+
+# (id, the name in the message, call with an empty list)
+EMPTY_CASES = [
+    ("forward_differences", "samples", lambda: forward_differences([])),
+    ("forward_differences_binomial", "samples", lambda: forward_differences_binomial([])),
+    ("operator_apply", "samples", lambda: operator_apply([], HALF)),
+    ("operator_eval_real", "samples", lambda: operator_eval_real([], 0.5, 0.5)),
+    ("decasteljau_eval", "coefficient list", lambda: decasteljau_eval([], HALF)),
+    ("VerifyConfig", "the q sample set", lambda: VerifyConfig(qs=())),
+    ("integral_product", "the factor list", lambda: integral_product(0, (), HALF)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call", [case[1:] for case in EMPTY_CASES], ids=[case[0] for case in EMPTY_CASES]
+)
+def test_empty_list_is_refused_by_the_owner(name, call):
+    with pytest.raises(DomainError, match=f"^{name} must be nonempty$"):
+        call()
