@@ -92,12 +92,12 @@ def _grid(text: str) -> tuple[float, float, float]:
 
 class _Parser(argparse.ArgumentParser):
     """Reads any negative number after a space as a value (``--q -3/2``,
-    ``--x -1e-3``, ``--grid -1:1:0.5``), as argparse reads ``--n -1``;
-    subparsers are _Parsers."""
+    ``--x -1e-3``, ``--x -inf``, ``--grid -1:1:0.5``), as argparse reads
+    ``--n -1``; subparsers are _Parsers."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,8 @@ from qbernstein.cli import (
     OPERATOR_WORK_LIMIT,
     main,
 )
-from qbernstein.kernel import DomainError, binomial_coeff
+from qbernstein.euler import euler_number, fermionic_sum
+from qbernstein.kernel import DomainError, binomial_coeff, format_rational, padic_valuation
 from qbernstein.verify import VerifyConfig
 
 
@@ -357,6 +358,36 @@ class TestPadicCommand:
         assert [int(row.split(",")[0]) for row in rows] == list(range(1, 12))
         assert all(int(row.split(",")[2]) >= level for level, row in enumerate(rows, 1))
 
+    @pytest.mark.parametrize(
+        "p, q, n, levels",
+        [(3, "4", 2, 4), (3, "-5/4", 2, 3), (5, "6", 1, 3), (5, "11/6", 2, 2), (7, "8", 3, 2)],
+    )
+    def test_columns_are_the_sum_and_its_valuation_gap(self, p, q, n, levels, capsys):
+        # S_N tends p-adically to E_n: v_p(S_N - E_n) >= level
+        argv = ["padic", "--p", str(p), f"--q={q}", "--n", str(n), "--levels", str(levels)]
+        assert main(argv) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        q, limit = Fraction(q), euler_number(n, Fraction(q))
+        assert [int(row[0]) for row in rows] == list(range(1, levels + 1))
+        for level, (_, text, v) in enumerate(rows, 1):
+            s = fermionic_sum(n, q, p, level)
+            assert text == format_rational(s)
+            assert int(v) == padic_valuation(s - limit, p) >= level
+
+    def test_sum_past_the_digit_limit_prints_in_full(self, capsys):
+        # S_N at level 8 has a numerator of 5,543 digits, past the
+        # interpreter's 4,300-digit int-to-str limit
+        assert main(["padic", "--p", "3", "--q", "4/7", "--n", "1", "--levels", "8"]) == 0
+        level, text, v = capsys.readouterr().out.splitlines()[-1].split(",")
+        s = fermionic_sum(1, Fraction(4, 7), 3, 8)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(s.numerator)) > saved
+            assert (level, text, v) == ("8", format_rational(s), "8")
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_exact_agreement_prints_inf(self):
         proc = run_cli("padic", "--p", "3", "--q", "4", "--n", "0", "--levels", "1")
         assert proc.returncode == 0
@@ -588,17 +619,45 @@ NEGATIVE_VALUES = {
     "padic": ["padic", "--q", "-5/4", "--n", "2", "--levels", "3"],
     "exponent-float": ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "-1e-3", "--q", "0.5"],
     "grid": ["operator", "--f", "t", "--n", "1", "--q", "0.5", "--grid", "-1:1:0.5"],
+    "infinite-x": ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "-inf", "--q", "0.5"],
 }
+
+
+def _spaced_and_joined(argv):
+    """Run argv, and argv with its negative value joined to its option by "="."""
+    at = next(i for i, arg in enumerate(argv) if re.match(r"-([\d.]|inf|nan)", arg, re.I))
+    joined = argv[: at - 1] + [f"{argv[at - 1]}={argv[at]}"] + argv[at + 1 :]
+    return run_cli(*argv), run_cli(*joined)
 
 
 @pytest.mark.parametrize("argv", list(NEGATIVE_VALUES.values()), ids=list(NEGATIVE_VALUES))
 def test_negative_rational_after_a_space_is_a_value(argv):
-    at = next(i for i, arg in enumerate(argv) if re.match(r"-[\d.]", arg))
-    joined = argv[: at - 1] + [f"{argv[at - 1]}={argv[at]}"] + argv[at + 1 :]
-    spaced, equals = run_cli(*argv), run_cli(*joined)
+    spaced, equals = _spaced_and_joined(argv)
     assert spaced.returncode == 0, spaced.stderr
     assert (spaced.stdout, spaced.stderr) == (equals.stdout, equals.stderr)
     assert spaced.returncode == equals.returncode
+
+
+# values that float() reads but that the command may refuse: the refusal must
+# be the command's own, as after "=", never argparse's "expected one argument"
+NONFINITE_VALUES = {
+    "x-Infinity": ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "-Infinity", "--q", "0.5"],
+    "x-INF": ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "-INF", "--q", "0.5"],
+    "x-nan": ["bernstein", "eval", "--k", "1", "--n", "2", "--x", "-nan", "--q", "0.5"],
+    "grid-inf": ["operator", "--f", "t", "--n", "1", "--q", "0.5", "--grid", "-inf:0:1"],
+    "q-inf": ["euler", "--q", "-inf", "--nmax", "7"],
+}
+
+
+@pytest.mark.parametrize("argv", list(NONFINITE_VALUES.values()), ids=list(NONFINITE_VALUES))
+def test_nonfinite_value_after_a_space_is_a_value(argv):
+    spaced, equals = _spaced_and_joined(argv)
+    assert "expected one argument" not in spaced.stderr
+    assert (spaced.returncode, spaced.stdout, spaced.stderr) == (
+        equals.returncode,
+        equals.stdout,
+        equals.stderr,
+    )
 
 
 @pytest.mark.parametrize("value", [["--nmax", "7"], ["-x", "--nmax", "7"]], ids=["missing", "-x"])

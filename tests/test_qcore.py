@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,24 @@ class TestQNumber:
             assert q_number_real(1.0, q) == pytest.approx(1.0, abs=1e-15)
         for x in (0.2, 0.9, 1.6):
             assert abs(q_number_real(x, 1 - 1e-9) - x) <= 1e-6
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 2), Fraction(3)], ids=str)
+    def test_real_matches_exact_at_integers(self, q):
+        for x in range(-5, 11):
+            exact = float(q_number_int(x, q))
+            assert q_number_real(float(x), float(q)) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_real_takes_the_limit_at_infinite_x(self, q):
+        # q**x -> 0 leaves 1 / (1 - q): x -> +inf at q < 1, x -> -inf at 1/q > 1
+        assert q_number_real(math.inf, q) == pytest.approx(1 / (1 - q))
+        assert q_number_real(-math.inf, 1 / q) == pytest.approx(1 / (1 - 1 / q))
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 1.5, 3.0])
+    def test_real_diverges_where_q_to_the_x_grows(self, q):
+        # q**x -> inf: the sign is that of 1 / (q - 1)
+        x = -math.inf if q < 1 else math.inf
+        assert q_number_real(x, q) == (math.inf if q > 1 else -math.inf)
 
     def test_real_complement_identity(self):
         # [1-x]_{1/q} = 1 - [x]_q on a grid
