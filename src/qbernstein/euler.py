@@ -88,14 +88,17 @@ class EulerTable(FrozenRecord):
 
 
 class _Prefix(NamedTuple):
-    """A cached E-table prefix: the values, the same values written as
-    integer numerators ``nums`` over their least common denominator ``den``,
-    and the recurrence's last Pascal antidiagonal ``diag`` over ``den``, from
-    which an extension resumes."""
+    """A cached E-table prefix: the values, their least common denominator
+    ``den`` and the recurrence's last Pascal antidiagonal ``diag`` over
+    ``den``, from which an extension resumes.  The integer numerators are
+    ``nums``, over the denominator of their last fold, then one pair
+    (e_d, m_d) per later entry in ``pending`` (see ``_prefix``); read them
+    only through ``_integer_prefix``, which folds the pairs in."""
 
     values: tuple[Fraction, ...]
     den: int
     nums: tuple[int, ...]
+    pending: tuple[tuple[int, int], ...]
     diag: tuple[int, ...]
 
 
@@ -123,8 +126,9 @@ def euler_table(q, nmax: int) -> EulerTable:
     (see ``_prefix``).  One gcd against the small factor a**n + b**n keeps D
     the least common denominator, and each new entry is normalised once,
     when its Fraction is built.  Prefixes per q are cached module-wide,
-    integer state included, so a longer request resumes where the cache
-    stops; tables themselves are immutable.
+    with the antidiagonal and D, so a longer request resumes where the cache
+    stops; the numerators over the final D are built only when an integer
+    kernel first reads them.  Tables themselves are immutable.
     """
     return EulerTable(q, _prefix(q, nmax).values[: nmax + 1])
 
@@ -132,8 +136,8 @@ def euler_table(q, nmax: int) -> EulerTable:
 def _prefix(q, nmax: int) -> _Prefix:
     """The cached prefix for q, extended to cover at least E_0..E_nmax.
 
-    It may run past nmax; the integer kernels index or slice it directly
-    and build no table.
+    It may run past nmax; its readers index or slice it directly and build
+    no table.
 
     With T(m, r) = sum_l C(m,l) a**l b**(m-l) e_(l+r), Pascal's rule gives
     T(m, r) = b T(m-1, r) + a T(m-1, r+1), and the recurrence says
@@ -141,17 +145,18 @@ def _prefix(q, nmax: int) -> _Prefix:
     yields each entry in two passes over A_(d-1): Horner in a gives the
     known part K = T(d, 0) - a**d e_d, so e_d = -K / (a**d + b**d); then
     A_d[0] = e_d and A_d[m] = b m_d A_(d-1)[m-1] + a A_d[m-1], where m_d is
-    the factor by which D grew.  ``nums`` are put over the final D once per
-    extension, by suffix products of the m_d.
+    the factor by which D grew.  Each pair (e_d, m_d) is appended to
+    ``pending``; ``nums`` is left as it is, so no numerator is put over the
+    final D here.
     """
     q = _require_recurrence_q(q)
     require_nonnegative(nmax, "nmax")
-    prefix = _CACHE.get(q) or _Prefix((Fraction(1),), 1, (1,), (1,))
+    prefix = _CACHE.get(q) or _Prefix((Fraction(1),), 1, (1,), (), (1,))
     start = len(prefix.values)
     if start <= nmax:
         a, b = q.numerator, q.denominator
-        values, den, diag = list(prefix.values), prefix.den, prefix.diag
-        fresh, steps = [], []  # each new e_d over D at step d, and each m_d
+        values, den, nums, pending, diag = prefix
+        values, pending = list(values), list(pending)
         ad, bd = a ** (start - 1), b ** (start - 1)
         for _ in range(start, nmax + 1):
             ad, bd = ad * a, bd * b
@@ -169,16 +174,29 @@ def _prefix(q, nmax: int) -> _Prefix:
                 t_prev = bm * t + a * t_prev
                 row.append(t_prev)
             diag = row
-            fresh.append(s)
-            steps.append(m)
+            pending.append((s, m))
             values.append(Fraction(s, den))
-        scale = 1
-        for i in range(len(fresh) - 1, -1, -1):
-            fresh[i] *= scale
-            scale *= steps[i]
-        nums = [e * scale for e in prefix.nums] + fresh
-        prefix = _Prefix(tuple(values), den, tuple(nums), tuple(diag))
+        prefix = _Prefix(tuple(values), den, nums, tuple(pending), tuple(diag))
         _CACHE[q] = prefix
+    return prefix
+
+
+def _integer_prefix(q, nmax: int) -> _Prefix:
+    """``_prefix(q, nmax)`` with every numerator over its final D in ``nums``.
+
+    The pending pairs are folded by suffix products of the m_d: e_d is
+    scaled by the m of every later step, and the head by all of them.  The
+    folded prefix replaces the cached one, so each pair is folded once.
+    """
+    q = _require_recurrence_q(q)
+    prefix = _prefix(q, nmax)
+    if prefix.pending:
+        fresh, scale = [], 1
+        for e, m in reversed(prefix.pending):
+            fresh.append(e * scale)
+            scale *= m
+        nums = (*(e * scale for e in prefix.nums), *reversed(fresh))
+        prefix = _CACHE[q] = prefix._replace(nums=nums, pending=())
     return prefix
 
 
@@ -216,7 +234,7 @@ def euler_poly(n: int, x: int, q) -> Fraction:
     q = _require_closed_form_q(q)
     require_nonnegative(n, "n")
     ux = q_number_int(x, q)  # refuses a negative x at q = 0
-    prefix = _prefix(q, n)
+    prefix = _integer_prefix(q, n)
     a, b = q.numerator, q.denominator
     c, d = (a**x, b**x) if x >= 0 else (b**-x, a**-x)
     cv, du = c * ux.denominator, d * ux.numerator
@@ -316,7 +334,7 @@ def moment(s: int, d: int, q, coeff: int = 1) -> Fraction:
     summed over the cached prefix's integer numerators into one Fraction."""
     require_nonnegative(s, "s")
     require_nonnegative(d, "d")
-    prefix = _prefix(q, s + d)
+    prefix = _integer_prefix(q, s + d)
     terms = enumerate(prefix.nums[s : s + d + 1])
     total = sum(math.comb(d, j) * (-1) ** j * e for j, e in terms)
     return Fraction(coeff * total, prefix.den)

@@ -97,6 +97,16 @@ def _ref_prefix(q, nmax):
     return tuple(values), den, tuple(nums)
 
 
+def _ref_diag(q, nums):
+    """The walk's last antidiagonal by its definition: entry m is
+    sum_l C(m,l) a**l b**(m-l) e_(l+N-m) over the final denominator."""
+    a, b, top = q.numerator, q.denominator, len(nums) - 1
+    return tuple(
+        sum(math.comb(m, l) * a**l * b ** (m - l) * nums[l + top - m] for l in range(m + 1))
+        for m in range(top + 1)
+    )
+
+
 _table_q = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1), Fraction(-3), Fraction(11, 7), Fraction(-2, 5)]),
     st.fractions(min_value=-12, max_value=12, max_denominator=13),
@@ -109,16 +119,63 @@ def test_prefix_matches_the_per_entry_sum(q, nmax, data):
     split = data.draw(st.integers(0, nmax), label="split")
     want = _ref_prefix(q, nmax)
     euler._CACHE.pop(q, None)
-    cold = euler._prefix(q, nmax)
+    table_only = euler._prefix(q, nmax)
     euler._CACHE.pop(q, None)
-    euler._prefix(q, split)
-    resumed = euler._prefix(q, nmax)
+    cold = euler._integer_prefix(q, nmax)
+    euler._CACHE.pop(q, None)
+    euler._integer_prefix(q, split)
+    resumed = euler._integer_prefix(q, nmax)
     for got in (cold, resumed):
         assert (got.values, got.den, got.nums) == want
         assert all(type(e) is int for e in got.nums)
         assert got.den > 0 and type(got.den) is int
     assert resumed.diag == cold.diag
     assert len(cold.diag) == nmax + 1 and cold.diag[0] == cold.nums[-1]
+    assert (table_only.values, table_only.den, table_only.diag) == (*want[:2], _ref_diag(q, want[2]))
+
+
+def test_a_cold_table_leaves_every_numerator_pending(cold_cache):
+    q = Fraction(11, 7)
+    table = euler_table(q, 110)
+    prefix = euler._CACHE[q]
+    assert prefix.nums == (1,) and len(prefix.pending) == 110
+    folded = euler._integer_prefix(q, 110)
+    assert euler._CACHE[q] is folded and folded.pending == ()
+    assert tuple(Fraction(e, folded.den) for e in folded.nums) == table.values
+
+
+def _ref_moment(values, s, d):
+    return sum((math.comb(d, j) * (-1) ** j * values[s + j] for j in range(d + 1)), Fraction(0))
+
+
+def _ref_poly(values, n, x, q):
+    ux = _ref_q_number(x, q)
+    return sum(
+        (math.comb(n, l) * q ** (l * x) * values[l] * ux ** (n - l) for l in range(n + 1)),
+        Fraction(0),
+    )
+
+
+@settings(deadline=None)
+@given(_table_q, st.lists(st.integers(0, 30), min_size=4, max_size=4), st.integers(0, 30), st.integers(-2, 3))
+@example(Fraction(0), [3, 5, 9, 12], 2, 3)
+@example(Fraction(1), [3, 5, 9, 12], 2, 3)
+@example(Fraction(-3), [3, 5, 9, 12], 2, -2)
+@example(Fraction(-2, 5), [3, 5, 9, 12], 2, -2)
+def test_integer_kernels_see_every_entry_when_reads_interleave(q, sizes, s, x):
+    """Grow by table reads, read a moment, grow further, then read E_n(x):
+    both kernels must see the entries that table reads left pending."""
+    grow, first, regrow, last = sizes
+    s, x = min(s, first), abs(x) if q == 0 else x  # a negative x is refused at q = 0
+    values = _ref_prefix(q, max(sizes) + 1)[0]
+    euler._CACHE.pop(q, None)
+    euler_table(q, grow)
+    assert euler.moment(s, first - s, q) == _ref_moment(values, s, first - s)
+    euler_table(q, regrow)
+    if q == 1:  # a pole of E_n(x)'s closed form; read a moment past the table instead
+        assert euler.moment(0, last + 1, q) == _ref_moment(values, 0, last + 1)
+    else:
+        assert euler_poly(last, x, q) == _ref_poly(values, last, x, q)
 
 
 def test_kernels_read_the_prefix_without_building_a_table(monkeypatch, cold_cache):

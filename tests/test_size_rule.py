@@ -1,10 +1,12 @@
 """The size rule, k, n, ... >= 0, and the nonempty rule are each checked
-by one function.
+by one function, and the E-table's integer layout is read through one.
 
 The guard tests read the source: every ``if`` that tests ``name < 0`` or
 ``obj.attr < 0`` (or an ``or`` of such tests) and raises must be
 ``kernel.require_nonnegative``, and every ``if not name`` that raises
-``DomainError`` must be ``kernel.require_nonempty``.
+``DomainError`` must be ``kernel.require_nonempty``.  A function that reads
+a prefix's ``.nums`` or ``.pending`` must be ``euler._integer_prefix`` or
+call it, since any other prefix holds only the numerators folded so far.
 The refusal matrix calls every public function that takes a size with -1 in
 each size argument in turn, and checks that the message names the argument
 and that no E-table work ran first; 0 in the same argument must compute.
@@ -124,6 +126,40 @@ def test_the_size_rule_has_one_owner():
 
 def test_the_nonempty_rule_has_one_owner():
     assert _owners(_is_nonempty_check) == [("kernel.py", "require_nonempty")]
+
+
+def _layout_readers(source: str):
+    """Yield (name, routed) for each function or method that reads
+    ``.nums`` or ``.pending``; routed says it calls ``_integer_prefix``."""
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                nodes = list(ast.walk(child))
+                if any(isinstance(n, ast.Attribute) and n.attr in ("nums", "pending") for n in nodes):
+                    calls = (n.func for n in nodes if isinstance(n, ast.Call))
+                    names = {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
+                    yield f"{prefix}{child.name}", "_integer_prefix" in names
+
+    yield from visit(ast.parse(source), "")
+
+
+def _unrouted_layout_readers(source: str) -> list[str]:
+    return [name for name, routed in _layout_readers(source) if not routed and name != "_integer_prefix"]
+
+
+def test_the_integer_layout_is_read_through_one_accessor():
+    paths = sorted(SRC.glob("*.py"))
+    assert [(path.name, name) for path in paths for name in _unrouted_layout_readers(path.read_text())] == []
+    readers = {name for name, _ in _layout_readers((SRC / "euler.py").read_text())}
+    assert {"_integer_prefix", "euler_poly", "moment"} <= readers
+
+
+def test_the_layout_guard_passes_a_reader_only_through_the_accessor():
+    assert _unrouted_layout_readers("def f(q):\n    return _prefix(q, 3).nums\n") == ["f"]
+    assert _unrouted_layout_readers("def f(q):\n    return _integer_prefix(q, 3).nums\n") == []
 
 
 HALF = Fraction(1, 2)
