@@ -99,20 +99,26 @@ def _is_nonempty_check(node: ast.If) -> bool:
     )
 
 
-def _checks(path: Path, is_check):
-    """Yield the qualified name of the function around each ``if`` that
-    ``is_check`` accepts."""
+def _functions(source: str):
+    """Yield (qualified name, node) for each top-level function and method."""
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 yield from visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, ast.FunctionDef):
-                for inner in ast.walk(child):
-                    if isinstance(inner, ast.If) and is_check(inner):
-                        yield f"{prefix}{child.name}"
+                yield f"{prefix}{child.name}", child
 
-    yield from visit(ast.parse(path.read_text()), "")
+    yield from visit(ast.parse(source), "")
+
+
+def _checks(path: Path, is_check):
+    """Yield the qualified name of the function around each ``if`` that
+    ``is_check`` accepts."""
+    for name, func in _functions(path.read_text()):
+        for inner in ast.walk(func):
+            if isinstance(inner, ast.If) and is_check(inner):
+                yield name
 
 
 def _owners(is_check):
@@ -131,19 +137,11 @@ def test_the_nonempty_rule_has_one_owner():
 def _layout_readers(source: str):
     """Yield (name, routed) for each function or method that reads
     ``.nums`` or ``.pending``; routed says it calls ``_integer_prefix``."""
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from visit(child, f"{prefix}{child.name}.")
-            elif isinstance(child, ast.FunctionDef):
-                nodes = list(ast.walk(child))
-                if any(isinstance(n, ast.Attribute) and n.attr in ("nums", "pending") for n in nodes):
-                    calls = (n.func for n in nodes if isinstance(n, ast.Call))
-                    names = {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
-                    yield f"{prefix}{child.name}", "_integer_prefix" in names
-
-    yield from visit(ast.parse(source), "")
+    for name, func in _functions(source):
+        nodes = list(ast.walk(func))
+        if any(isinstance(n, ast.Attribute) and n.attr in ("nums", "pending") for n in nodes):
+            calls = (n.func for n in nodes if isinstance(n, ast.Call))
+            yield name, "_integer_prefix" in {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
 
 
 def _unrouted_layout_readers(source: str) -> list[str]:
