@@ -350,10 +350,13 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_padic(args) -> int:
+    # the cheap refusals, then the work limits, then the prime test, whose
+    # trial division takes about sqrt(p) steps and never ends for a huge p
     if args.levels < 1:
         raise _UsageError("--levels must be >= 1")
     _check_euler_work("--n", args.n, args.q)
-    require_padic_convergence(args.q, args.p, args.levels)
+    if args.p < 3 or args.p % 2 == 0:
+        raise DomainError(f"p must be an odd prime, got {args.p}")
     work = 0
     for level in range(1, args.levels + 1):
         work += args.p**level * max(args.n, 1) * _q_bits(args.q)
@@ -363,6 +366,7 @@ def _cmd_padic(args) -> int:
                 f"(p + ... + p**levels) * max(n, 1) * bits(q) must stay within "
                 f"{PADIC_WORK_LIMIT}"
             )
+    require_padic_convergence(args.q, args.p, args.levels)
     limit = euler_number(args.n, args.q)
     rows = []
     for level in range(1, args.levels + 1):

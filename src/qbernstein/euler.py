@@ -251,21 +251,33 @@ def euler_poly_closed(n: int, x: int, q) -> Fraction:
 
     With q = a/b, 1/(1 + q**l) = b**l / (a**l + b**l), and q**(l x) is
     c**l / d**l with (c, d) = (a**x, b**x) for x >= 0 and (b**-x, a**-x)
-    for x < 0.  Over L = lcm(a**l + b**l) the sum is S / (d**n L) with
-    S = sum_l C(n,l) (-1)**l (b c)**l d**(n-l) L / (a**l + b**l), so the
-    value is 2 b**n S / ((b-a)**n d**n L).  It reads no E-table.
+    for x < 0.  The terms C(n,l) (-b c)**l d**(n-l) / (a**l + b**l) sum
+    to N / D by binary splitting (``_split_sum``), and the value is
+    2 b**n N / ((b-a)**n d**n D), normalised once.  It reads no E-table.
     """
     q = _require_closed_form_q(require_q_power_domain(x, q))
     require_nonnegative(n, "n")
     a, b = q.numerator, q.denominator
     c, d = (a**x, b**x) if x >= 0 else (b**-x, a**-x)
-    sums = [a**l + b**l for l in range(n + 1)]
-    lcm = math.lcm(*sums)
-    bc, total, power = b * c, 0, 1  # power = (-b c)**l
-    for l, s in enumerate(sums):
-        total += math.comb(n, l) * power * d ** (n - l) * (lcm // s)
-        power *= -bc
-    return Fraction(2 * b**n * total, (b - a) ** n * d**n * lcm)
+    step, power, terms = -b * c, 1, []  # power = (-b c)**l
+    for l in range(n + 1):
+        terms.append((math.comb(n, l) * power * d ** (n - l), a**l + b**l))
+        power *= step
+    num, den = _split_sum(terms, 0, n + 1)
+    return Fraction(2 * b**n * num, (b - a) ** n * d**n * den)
+
+
+def _split_sum(terms: list[tuple[int, int]], lo: int, hi: int) -> tuple[int, int]:
+    """The sum of the fractions terms[lo:hi], each a (numerator, denominator)
+    pair, as one unreduced pair.  Each half is summed alone and the halves
+    merge as n1 d2 + n2 d1 over d1 d2, so the large products have operands
+    of about equal size and no gcd is taken."""
+    if hi - lo == 1:
+        return terms[lo]
+    mid = (lo + hi) // 2
+    n1, d1 = _split_sum(terms, lo, mid)
+    n2, d2 = _split_sum(terms, mid, hi)
+    return n1 * d2 + n2 * d1, d1 * d2
 
 
 def shift_moment(shift: int, m: int, q) -> Fraction:

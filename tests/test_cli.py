@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qbernstein.cli
+import qbernstein.kernel
 from qbernstein.cli import (
     BERNSTEIN_NMAX_LIMIT,
     EULER_NMAX_LIMIT,
@@ -406,6 +407,27 @@ class TestPadicCommand:
 
     def test_bad_prime(self):
         assert run_cli("padic", "--p", "4", "--n", "1").returncode == 3
+
+    def test_huge_odd_prime_meets_the_work_limit(self):
+        # trial division up to sqrt(p) would run for hours; the work limit refuses first
+        argv = ["padic", "--p", "1000000000000000009", "--q", "4", "--n", "1", "--levels", "1"]
+        proc = run_cli(*argv, timeout=10)
+        assert proc.returncode == 2
+        assert "work limit" in proc.stderr
+
+    @pytest.mark.parametrize("p", [10**18 + 9, 10**18 + 7, 3**40])  # a prime and two composites
+    def test_work_limit_comes_before_the_prime_test(self, p, monkeypatch, capsys):
+        def no_prime_test(*a):
+            raise AssertionError("the prime test ran")
+
+        monkeypatch.setattr(qbernstein.kernel, "is_odd_prime", no_prime_test)
+        assert main(["padic", "--p", str(p), "--q", "4", "--n", "1", "--levels", "1"]) == 2
+        assert "work limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 2, 10**30])
+    def test_cheap_refusals_come_before_the_work_limit(self, p, capsys):
+        assert main(["padic", "--p", str(p), "--q", "4", "--n", "1", "--levels", "1"]) == 3
+        assert capsys.readouterr().err == f"domain error: p must be an odd prime, got {p}\n"
 
     def test_bad_levels(self):
         assert run_cli("padic", "--p", "3", "--n", "1", "--levels", "0").returncode == 2

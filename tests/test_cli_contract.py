@@ -2,9 +2,10 @@
 
 Hypothesis draws argv lists for the five subcommands from a grammar of
 option values: rationals, poles, decimals in exponent form, nan and inf,
-huge integers, malformed literals and grids.  Each list runs in process
-through ``cli.main``, once with every option spelled ``--opt v`` and once
-spelled ``--opt=v``, and the first spelling runs a second time.  Then:
+huge integers (a huge odd prime among them), malformed literals and
+grids.  Each list runs in process through ``cli.main``, once with every
+option spelled ``--opt v`` and once spelled ``--opt=v``, and the first
+spelling runs a second time.  Then:
 
 * the exit code is 0, 2 or 3, and 1 (an identity violation) comes only
   from ``verify``;
@@ -23,11 +24,12 @@ from __future__ import annotations
 import contextlib
 import io
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qbernstein.cli import main
 
 HUGE = str(10**30)
+HUGE_PRIME = str(10**18 + 9)  # an odd prime far past trial division
 
 
 def _values(good, bad):
@@ -97,7 +99,7 @@ _padic = _command(
     ["padic"],
     [("--n", INTS)],
     [
-        ("--p", _values(["3", "5"], ["2", "9", "-3", "0", "101", HUGE])),
+        ("--p", _values(["3", "5"], ["2", "9", "-3", "0", "101", HUGE, HUGE_PRIME])),
         ("--q", _values(["4", "4/7", "-2", "7/4", "6", "11/6", "-4"], POLES_AND_MALFORMED + [HUGE])),
         ("--levels", _values(["1", "2", "3", "5"], ["0", "-1", HUGE])),
     ],
@@ -132,6 +134,7 @@ def _run(argv):
 
 @settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ARGV)
+@example((["padic"], [("--n", "1"), ("--p", HUGE_PRIME), ("--levels", "1")]))
 def test_every_argv_maps_to_a_documented_exit_code(command):
     words, options = command
     spaced = _run(_spell(words, options, joined=False))

@@ -310,6 +310,16 @@ class TestFermionicSum:
             )
             assert fermionic_sum(n, q, 3, 2) == naive
 
+    @pytest.mark.parametrize(
+        "q, p", [(Fraction(4, 7), 3), (Fraction(10, 7), 3), (Fraction(11, 6), 5), (Fraction(1), 3), (Fraction(1), 5)]
+    )
+    def test_matches_naive_sum_with_a_denominator(self, q, p):
+        # b > 1 puts the Horner base b**(N-1) to work; q = 1 takes the plain power sum
+        for level in (1, 2):
+            for n in range(5):
+                naive = sum((-1) ** x * q_number_int(x, q) ** n for x in range(p**level))
+                assert fermionic_sum(n, q, p, level) == naive
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             fermionic_sum(1, 2, 3, 1)  # |1-q|_3 = 1, no convergence

@@ -700,6 +700,29 @@ def test_closed_forms_match_the_term_by_term_loop(q, n, x):
         assert euler_poly_closed(n, x, q) == _ref_poly_closed(n, x, q)
 
 
+_CLOSED_QS = [Fraction(0), Fraction(2, 3), Fraction(-7, 3), Fraction(11, 7), Fraction(4), Fraction(-1, 5)]
+
+
+@pytest.mark.parametrize("q", _CLOSED_QS, ids=str)
+@pytest.mark.parametrize("n", [0, 1, 2, 3])  # 1 to 4 leaves: odd and even splits
+def test_closed_forms_base_cases(n, q):
+    assert euler_closed(n, q) == _ref_closed(n, q)
+    for x in range(0 if q == 0 else -3, 4):
+        assert euler_poly_closed(n, x, q) == _ref_poly_closed(n, x, q)
+
+
+@pytest.mark.parametrize("q", [Fraction(11, 7), Fraction(-7, 3)], ids=str)
+def test_closed_form_at_depth(q, cold_cache):
+    assert euler_closed(110, q) == _ref_closed(110, q) == euler.euler_number(110, q)
+
+
+@pytest.mark.parametrize("q", [Fraction(2, 3), Fraction(-7, 3), Fraction(11, 7), Fraction(-1, 5)], ids=str)
+@pytest.mark.parametrize("n", [17, 31, 40])
+def test_closed_poly_form_off_zero(n, q):
+    for x in (-3, -1, 1, 2, 4):
+        assert euler_poly_closed(n, x, q) == _ref_poly_closed(n, x, q)
+
+
 def test_closed_forms_share_nothing_with_the_e_table(monkeypatch):
     cases = [(n, x, q) for q in (Fraction(2, 3), Fraction(-7, 3)) for n in (0, 7) for x in (-2, 3)]
     want = [(_ref_closed(n, q), _ref_poly_closed(n, x, q)) for n, x, q in cases]
@@ -708,6 +731,7 @@ def test_closed_forms_share_nothing_with_the_e_table(monkeypatch):
         raise AssertionError("the E-table prefix was read")
 
     monkeypatch.setattr(euler, "_prefix", no_prefix)
+    monkeypatch.setattr(euler, "_integer_prefix", no_prefix)
     assert [(euler_closed(n, q), euler_poly_closed(n, x, q)) for n, x, q in cases] == want
 
 
