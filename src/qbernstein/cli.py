@@ -350,8 +350,8 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_padic(args) -> int:
-    # the cheap refusals, then the work limits, then the prime test, whose
-    # trial division takes about sqrt(p) steps and never ends for a huge p
+    # the cheap refusals and the work limits come before the prime test,
+    # whose trial division takes about sqrt(p) / 2 steps
     if args.levels < 1:
         raise _UsageError("--levels must be >= 1")
     _check_euler_work("--n", args.n, args.q)
