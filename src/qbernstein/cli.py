@@ -13,7 +13,6 @@ Exit codes: 0 all checks pass, 1 identity violation, 2 usage error
 from __future__ import annotations
 
 import argparse
-import io
 import re
 import sys
 from fractions import Fraction
@@ -288,12 +287,13 @@ def _parse_monomial_spec(text: str) -> int:
 def _read_samples(path: str) -> list[Fraction]:
     import csv  # here, not above: only the samples reader needs it
 
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
+    try:  # a BOM is no part of the first field; a bad byte or a huge field is a usage error
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            table = list(csv.reader(handle))
+    except (OSError, UnicodeError, csv.Error) as exc:
         raise _UsageError(f"cannot read samples file: {exc}") from exc
     rows: dict[int, Fraction] = {}
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+    for lineno, row in enumerate(table, start=1):
         if not row or (lineno == 1 and not row[0].strip().lstrip("+-").isdigit()):
             continue  # blank line or header row
         if len(row) < 2:
@@ -351,7 +351,7 @@ def _cmd_operator(args) -> int:
 
 def _cmd_padic(args) -> int:
     # the cheap refusals and the work limits come before the prime test,
-    # whose trial division takes about sqrt(p) / 2 steps
+    # which is exact only below 2**64 and raises past it
     if args.levels < 1:
         raise _UsageError("--levels must be >= 1")
     _check_euler_work("--n", args.n, args.q)

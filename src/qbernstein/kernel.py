@@ -132,13 +132,25 @@ def to_rational(value: Fraction | int | str) -> Fraction:
 
 
 def is_odd_prime(p: int) -> bool:
+    # Miller-Rabin with the primes up to 37 as witnesses is exact below
+    # 3.18e23 (Sorenson and Webster, Math. Comp. 86, 2017), so below 2**64
     if p < 3 or p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
+    if p >= 2**64:
+        raise DomainError(f"the odd-prime test is exact only below 2**64, got p = {p}")
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p <= 37:
+        return p in witnesses
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    for a in witnesses:
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and x != p - 1:
+            for _ in range(s - 1):
+                x = x * x % p
+                if x == p - 1:
+                    break
+            else:
+                return False
     return True
 
 

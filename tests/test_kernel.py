@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -82,7 +84,33 @@ def test_padic_rejects_bad_primes(p):
 
 
 def test_is_odd_prime():
+    def by_trial_division(p):
+        return p > 2 and p % 2 == 1 and all(p % f for f in range(3, math.isqrt(p) + 1, 2))
+
     assert [p for p in range(30) if is_odd_prime(p)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert all(is_odd_prime(p) == by_trial_division(p) for p in range(-3, 30_000))
+    # the least strong pseudoprimes to the first 1..11 prime bases, and two Carmichael numbers
+    pseudoprimes = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383]
+    pseudoprimes += [341550071728321, 3825123056546413051, 561, 41041]
+    assert not any(is_odd_prime(c) for c in pseudoprimes)
+    assert is_odd_prime(10**18 + 9) and is_odd_prime(2**61 - 1) and is_odd_prime(2**64 - 59)
+    assert not is_odd_prime(2**64)
+    with pytest.raises(DomainError, match=r"exact only below 2\*\*64"):
+        is_odd_prime(2**64 + 1)
+
+
+def test_a_huge_odd_prime_is_decided_at_once():
+    code = (
+        "from qbernstein.euler import fermionic_sum\n"
+        "from qbernstein.kernel import DomainError, padic_valuation\n"
+        "assert padic_valuation(3, 10**18 + 9) == 0\n"
+        "try:\n"
+        "    fermionic_sum(1, 4, 10**18 + 9, 1)\n"
+        "except DomainError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10, check=True)
+    assert proc.stdout == "need |q|_p <= 1 and |1-q|_p < 1 for p-adic convergence\n"
 
 
 _nonzero = st.fractions(max_denominator=997).filter(lambda r: r != 0)
