@@ -416,7 +416,7 @@ class TestPadicCommand:
         assert run_cli("padic", "--p", "4", "--n", "1").returncode == 3
 
     def test_huge_odd_prime_meets_the_work_limit(self):
-        # trial division up to sqrt(p) would run for hours; the work limit refuses first
+        # the work limit refuses p before the prime test is asked about it
         argv = ["padic", "--p", "1000000000000000009", "--q", "4", "--n", "1", "--levels", "1"]
         proc = run_cli(*argv, timeout=10)
         assert proc.returncode == 2
@@ -694,4 +694,3 @@ def test_option_after_an_option_is_still_a_usage_error(value):
     proc = run_cli("euler", "--q", *value)
     assert proc.returncode == 2
     assert "expected one argument" in proc.stderr
-
