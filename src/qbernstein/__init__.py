@@ -30,15 +30,7 @@ from .euler import (
     shift_moment,
     shift_moment_sum,
 )
-from .integrals import (
-    IntegralInstance,
-    fermionic_basis_sum,
-    integral_basis,
-    integral_basis_reflected,
-    integral_power_product,
-    integral_power_product_direct,
-    integral_product,
-)
+from .integrals import fermionic_basis_sum, integral_direct, integral_reflected
 from .kernel import (
     DomainError,
     binomial_coeff,
@@ -69,7 +61,6 @@ __all__ = [
     "DomainError",
     "EulerTable",
     "IdentityReport",
-    "IntegralInstance",
     "U",
     "UPoly",
     "VerifyConfig",
@@ -93,11 +84,8 @@ __all__ = [
     "forward_differences_binomial",
     "gaussian_binomial",
     "generating_coeffs",
-    "integral_basis",
-    "integral_basis_reflected",
-    "integral_power_product",
-    "integral_power_product_direct",
-    "integral_product",
+    "integral_direct",
+    "integral_reflected",
     "monomial_in_basis",
     "monomial_samples",
     "operator_apply",

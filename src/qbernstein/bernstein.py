@@ -101,9 +101,9 @@ def basis_upoly(idx) -> UPoly:
     """Monomial form of a basis member: the coefficient of u**l is
     (-1)**(l-k) C(n,l) C(l,k) for k <= l <= n.
 
-    A variant with C(l,k) C(n,k) coefficients circulates in print; it is
-    wrong in general (first separating instance n = 4, k = 1, l = 2), and
-    the counterexample suite holds its value at that instance.
+    A variant with C(l,k) C(n,k) coefficients circulates in print; it
+    agrees only at k = n and at (k, n) = (0, 1), so it fails from n = 2 on,
+    and the counterexample suite holds its value at n = 4, k = 1.
     """
     k, n = idx
     if k < 0 or n < k:

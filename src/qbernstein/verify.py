@@ -471,7 +471,7 @@ def _suite_integrals(cfg: VerifyConfig):
     pair_pool = [(n, m) for n in range(1, 4) for m in range(1, 3)]
     for q in cfg.qs:
         for n in range(11):
-            direct = [qi.integral_basis(k, n, q) for k in range(n + 1)]
+            direct = [qi.integral_direct(k, ((n, 1),), q) for k in range(n + 1)]
             yield "integrals.partition_integral", {"n": n, "q": q}, sum(direct), 1
             if n < 7:
                 top = euler_number(n, q)
@@ -480,62 +480,61 @@ def _suite_integrals(cfg: VerifyConfig):
                 continue
             for k in range(n):
                 params = {"k": k, "n": n, "q": q}
-                reflected = qi.integral_basis_reflected(k, n, q)
+                reflected = qi.integral_reflected(k, ((n, 1),), q)
                 yield "integrals.basis_direct_vs_reflected", params, direct[k], reflected
         for s in range(1, cfg.smax + 1):
             for ns in combinations_with_replacement(range(1, 6), s):
+                pairs = tuple((n, 1) for n in ns)
                 for k in range(cfg.kmax + 1):
                     if sum(ns) <= s * k:
                         continue
                     yield (
                         "integrals.product_direct_vs_reflected",
                         {"k": k, "ns": ",".join(map(str, ns)), "q": q},
-                        qi.integral_product(k, ns, q, "direct"),
-                        qi.integral_product(k, ns, q, "reflected"),
+                        qi.integral_direct(k, pairs, q),
+                        qi.integral_reflected(k, pairs, q),
                     )
         for s in range(1, min(cfg.smax, 2) + 1):
             for degrees in combinations_with_replacement(pair_pool, s):
                 for k in range(cfg.kmax + 1):
-                    inst = qi.IntegralInstance(k, degrees, q)
-                    if inst.total_degree <= k * inst.multiplicity:
+                    if sum(n * m for n, m in degrees) <= k * sum(m for _, m in degrees):
                         continue
                     yield (
                         "integrals.power_product_vs_direct",
                         {"k": k, "pairs": _pairs(degrees), "q": q},
-                        qi.integral_power_product(inst),
-                        qi.integral_power_product_direct(inst),
+                        qi.integral_reflected(k, degrees, q),
+                        qi.integral_direct(k, degrees, q),
                     )
         # independent of smax: (1, 2) and (2, 3) are checked at smax = 1 too
         for ns in ((2,), (1, 2), (2, 3)):
+            pairs = tuple((n, 1) for n in ns)
             for k in range(cfg.kmax + 1):
                 if sum(ns) <= len(ns) * k:
                     continue
-                inst = qi.IntegralInstance(k, tuple((n, 1) for n in ns), q)
                 yield (
                     "integrals.power_product_reduces_to_product",
                     {"k": k, "ns": ",".join(map(str, ns)), "q": q},
-                    qi.integral_power_product(inst),
-                    qi.integral_product(k, ns, q, "direct"),
+                    qi.integral_reflected(k, pairs, q),
+                    qi.integral_direct(k, pairs, q),
                 )
 
     half = Fraction(1, 2)
-    for method in ("direct", "reflected"):
-        params = {"k": 1, "ns": "2,2", "q": half, "method": method}
-        moment = qi.integral_product(1, (2, 2), half, method)
+    for route, integral in (("direct", qi.integral_direct), ("reflected", qi.integral_reflected)):
+        params = {"k": 1, "ns": "2,2", "q": half, "method": route}
+        moment = integral(1, ((2, 1), (2, 1)), half)
         yield "integrals.product_anchor", params, moment, Fraction(-16, 255)
-    routes = (("reflected", qi.integral_basis_reflected), ("direct", qi.integral_basis))
-    for route, basis_moment in routes:
         params = {"k": 1, "n": 3, "q": half, "route": route}
-        yield "integrals.basis_separating_anchor", params, basis_moment(1, 3, half), Fraction(2, 15)
+        moment = integral(1, ((3, 1),), half)
+        yield "integrals.basis_separating_anchor", params, moment, Fraction(2, 15)
     for k, degrees, want in ((1, ((2, 2),), Fraction(-16, 255)), (0, ((1, 2),), Fraction(31, 15))):
         params = {"k": k, "pairs": _pairs(degrees), "q": half}
-        moment = qi.integral_power_product(qi.IntegralInstance(k, degrees, half))
+        moment = qi.integral_reflected(k, degrees, half)
         yield "integrals.power_product_anchor", params, moment, want
 
     p, q4 = 3, Fraction(4)
     for n in range(4):
         for k in range(n + 1):
-            exact = qi.integral_basis(k, n, q4)
+            exact = qi.integral_direct(k, ((n, 1),), q4)
             for level in range(1, 5):
                 v = padic_valuation(qi.fermionic_basis_sum(k, n, q4, p, level) - exact, p)
                 params = {"k": k, "n": n, "level": level}
@@ -583,27 +582,27 @@ def _printed_counterexamples(suites):
         yield (
             "integrals.basis_reflected_printed",
             {"k": 1, "n": 3, "q": half},
-            qi.integral_basis_reflected(1, 3, 1 / half),
-            qi.integral_basis(1, 3, half),
+            qi.integral_reflected(1, ((3, 1),), 1 / half),
+            qi.integral_direct(1, ((3, 1),), half),
         )
+        degrees = ((1, 1), (2, 1))
         yield (
             "integrals.product_reflected_printed",
             {"k": 1, "ns": "1,2", "q": half},
-            qi.integral_product(1, (1, 2), 1 / half, "reflected"),
-            qi.integral_product(1, (1, 2), half, "direct"),
+            qi.integral_reflected(1, degrees, 1 / half),
+            qi.integral_direct(1, degrees, half),
         )
         yield (
             "integrals.product_k0_printed",
             {"ns": "1,1", "q": half},
             2 + euler_number(2, half),
-            qi.integral_product(0, (1, 1), half, "direct"),
+            qi.integral_direct(0, ((1, 1), (1, 1)), half),
         )
-        degrees = ((1, 1), (2, 1))
         yield (
             "integrals.power_product_printed",
             {"k": 1, "pairs": _pairs(degrees), "q": half},
-            qi.integral_power_product(qi.IntegralInstance(1, degrees, 1 / half)),
-            qi.integral_power_product_direct(qi.IntegralInstance(1, degrees, half)),
+            qi.integral_reflected(1, degrees, 1 / half),
+            qi.integral_direct(1, degrees, half),
         )
 
 

@@ -26,7 +26,7 @@ from qbernstein.bernstein import (
     operator_apply,
 )
 from qbernstein.euler import complement_moment, euler_closed, euler_number, euler_table, fermionic_sum
-from qbernstein.integrals import integral_basis, integral_basis_reflected, integral_product
+from qbernstein.integrals import integral_direct, integral_reflected
 from qbernstein.kernel import binomial_coeff, padic_valuation
 from qbernstein.qcore import stirling2
 from qbernstein.stirling import q_stirling2, qstirling_expansion_upoly
@@ -140,14 +140,14 @@ def test_c06_product_moments_corrected():
                 for k in range(3):
                     if sum(ns) <= s * k:
                         continue
-                    direct = integral_product(k, ns, q, "direct")
-                    assert direct == integral_product(k, ns, q, "reflected")
-    assert integral_product(1, (2, 2), HALF, "direct") == Fraction(-16, 255)
-    assert integral_product(1, (2, 2), HALF, "reflected") == Fraction(-16, 255)
+                    pairs = tuple((n, 1) for n in ns)
+                    assert integral_direct(k, pairs, q) == integral_reflected(k, pairs, q)
+    assert integral_direct(1, ((2, 1), (2, 1)), HALF) == Fraction(-16, 255)
+    assert integral_reflected(1, ((2, 1), (2, 1)), HALF) == Fraction(-16, 255)
     # separating instance for the misprinted parameter
-    assert integral_basis_reflected(1, 3, HALF) == Fraction(2, 15)
-    assert integral_basis(1, 3, HALF) == Fraction(2, 15)
-    assert integral_basis_reflected(1, 3, 1 / HALF) == Fraction(-4, 3)  # printed: q for 1/q
+    assert integral_reflected(1, ((3, 1),), HALF) == Fraction(2, 15)
+    assert integral_direct(1, ((3, 1),), HALF) == Fraction(2, 15)
+    assert integral_reflected(1, ((3, 1),), 1 / HALF) == Fraction(-4, 3)  # printed: q for 1/q
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"product-moment suite took {elapsed:.2f}s"
     _done("criterion 06: product moments direct = reflected; -16/255 anchor; 2/15 vs -4/3")

@@ -160,9 +160,20 @@ class TestBasisUPoly:
                 assert basis_upoly((k, n)) == brute_expansion(k, n)
 
     def test_printed_variant_fails_at_the_documented_instance(self):
-        # the misprinted coefficients first separate at n = 4, k = 1, l = 2,
-        # where the printed form has -8
+        # the counterexample suite's instance: at n = 4, k = 1, l = 2 the
+        # printed form has -8
         assert basis_upoly((1, 4)).coeff(2) == Fraction(-12)
+        # the misprint is visible from n = 2 on: 2u - 4u^2 printed for k = 1
+        assert basis_upoly((1, 2)) == UPoly((0, 2, -2))
+
+    @pytest.mark.parametrize("n", range(25))
+    def test_printed_variant_agrees_only_at_k_equal_n_and_at_0_1(self, n):
+        # the printed coefficients (-1)**(l-k) C(l,k) C(n,k) match the
+        # corrected ones only where C(n,l) = C(n,k) for every l >= k
+        for k in range(n + 1):
+            signs = [(-1) ** (l - k) * math.comb(l, k) for l in range(k, n + 1)]
+            printed = UPoly.from_numerators([0] * k + [s * math.comb(n, k) for s in signs])
+            assert (printed == basis_upoly((k, n))) == (k == n or (k, n) == (0, 1))
 
     def test_partition_of_unity_as_polynomials(self):
         for n in range(17):

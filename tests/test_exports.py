@@ -26,3 +26,8 @@ def test_every_export_resolves_once(name):
 
 def test_the_submodules_are_found():
     assert {"qbernstein.cli", "qbernstein.tables", "qbernstein.verify"} <= set(MODULES)
+
+
+def test_integrals_exports_one_function_per_route_and_the_p_adic_oracle():
+    module = importlib.import_module("qbernstein.integrals")
+    assert sorted(module.__all__) == ["fermionic_basis_sum", "integral_direct", "integral_reflected"]

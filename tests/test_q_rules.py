@@ -28,12 +28,7 @@ from qbernstein.euler import (
     reflection_check,
     shift_moment,
 )
-from qbernstein.integrals import (
-    IntegralInstance,
-    integral_basis,
-    integral_basis_reflected,
-    integral_product,
-)
+from qbernstein.integrals import integral_direct, integral_reflected
 from qbernstein.kernel import DomainError
 from qbernstein.qcore import gaussian_binomial, q_number_int, q_number_real, qbinom_upoly
 from qbernstein.stirling import q_stirling2, qstirling_expansion_upoly
@@ -170,17 +165,12 @@ CASES = [
      False, lambda: euler_poly_closed(2, 1, 0) == euler_poly(2, 1, 0)),
     ("complement_moment", lambda q: complement_moment(2, q), (0, 1, -1), _moment_rule, False,
      lambda: complement_moment(2, 2) == 2 + euler_number(2, Fraction(1, 2))),
-    ("integral_basis", lambda q: integral_basis(1, 2, q), (0, 1, -1), _moment_rule, False,
-     lambda: integral_basis(1, 2, 2) == integral_basis_reflected(1, 2, 2)),
-    ("integral_basis_reflected", lambda q: integral_basis_reflected(1, 2, q), (0, 1, -1),
-     _moment_rule, False, lambda: integral_basis_reflected(1, 2, 2) == integral_basis(1, 2, 2)),
-    ("integral_product", lambda q: integral_product(1, (1, 2), q), (0, 1, -1), _moment_rule,
-     False, lambda: integral_product(1, (1, 2), 2) == integral_product(1, (1, 2), 2, "reflected")),
-    ("integral_product-reflected", lambda q: integral_product(1, (1, 2), q, "reflected"),
-     (0, 1, -1), _moment_rule, False,
-     lambda: integral_product(1, (1, 2), 3, "reflected") == integral_product(1, (1, 2), 3)),
-    ("IntegralInstance", lambda q: IntegralInstance(1, ((2, 1),), q), (0, 1, -1), _moment_rule,
-     False, lambda: IntegralInstance(1, ((2, 1),), "2/1").q == 2),
+    ("integral_direct", lambda q: integral_direct(1, ((1, 1), (2, 1)), q), (0, 1, -1),
+     _moment_rule, False,
+     lambda: integral_direct(1, ((1, 1), (2, 1)), 2) == integral_reflected(1, ((1, 1), (2, 1)), 2)),
+    ("integral_reflected", lambda q: integral_reflected(1, ((2, 1),), q), (0, 1, -1),
+     _moment_rule, False,
+     lambda: integral_reflected(1, ((2, 1),), "3/1") == integral_direct(1, ((2, 1),), 3)),
     ("VerifyConfig", lambda q: VerifyConfig(qs=(q,)), (0, 1, -1), _moment_rule, False,
      lambda: VerifyConfig(qs=("2",)).qs == (2,)),
     ("reflection_check", lambda q: reflection_check(2, 1, q), (0,), RECIPROCAL, False,

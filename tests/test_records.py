@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from qbernstein.euler import EulerTable, euler_table
-from qbernstein.integrals import IntegralInstance
 from qbernstein.verify import DEFAULT_QS, IdentityReport, ReportEntry, VerifyConfig
 
 HALF = Fraction(1, 2)
@@ -29,7 +28,6 @@ FROZEN = [
         ),
     ),
     (euler_table(HALF, 2), EulerTable(HALF, (Fraction(1), Fraction(-2, 3), Fraction(-4, 15)))),
-    (IntegralInstance(1, ((2, 1),), HALF), IntegralInstance(k=1, degrees=[[2, 1]], q="1/2")),
 ]
 MUTABLE = [
     (_entry(), ReportEntry(identity_id="a.b", params={"n": "1"}, lhs="1", rhs="1", verdict="pass")),
@@ -71,12 +69,6 @@ def test_identity_report_sorts_the_given_lists_in_place():
     assert [(e.identity_id, e.params["n"]) for e in entries] == [("a", "1"), ("a", "2"), ("b", "1")]
 
 
-def test_integral_instance_normalises_its_fields():
-    inst = IntegralInstance(1, [[2, 1], (3, 2)], "1/2")
-    assert inst.q == HALF and type(inst.q) is Fraction
-    assert inst.degrees == ((2, 1), (3, 2))
-
-
 @pytest.mark.parametrize("record, twin", FROZEN + MUTABLE)
 def test_equality_is_field_wise(record, twin):
     assert record == twin and not record != twin
@@ -89,7 +81,6 @@ def test_equality_is_field_wise(record, twin):
     [
         (VerifyConfig(), VerifyConfig(nmax=13)),
         (euler_table(HALF, 2), euler_table(HALF, 3)),
-        (IntegralInstance(1, ((2, 1),), HALF), IntegralInstance(1, ((2, 1),), Fraction(2))),
         (_entry(), _entry(verdict="fail")),
         (IdentityReport([_entry()]), IdentityReport([_entry()], [_entry()])),
     ],
@@ -143,10 +134,6 @@ def test_mutable_records_are_unhashable_and_assignable(record, twin):
             euler_table(HALF, 2),
             "EulerTable(q=Fraction(1, 2), values=(Fraction(1, 1), Fraction(-2, 3), "
             "Fraction(-4, 15)))",
-        ),
-        (
-            IntegralInstance(1, ((2, 1),), HALF),
-            "IntegralInstance(k=1, degrees=((2, 1),), q=Fraction(1, 2))",
         ),
     ],
 )

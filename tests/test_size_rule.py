@@ -43,13 +43,7 @@ from qbernstein.euler import (
     shift_moment,
     shift_moment_sum,
 )
-from qbernstein.integrals import (
-    IntegralInstance,
-    fermionic_basis_sum,
-    integral_basis,
-    integral_basis_reflected,
-    integral_product,
-)
+from qbernstein.integrals import fermionic_basis_sum, integral_direct, integral_reflected
 from qbernstein.kernel import DomainError, binomial_coeff
 from qbernstein.qcore import (
     forward_differences,
@@ -182,10 +176,8 @@ CASES = [
     ("moment-s", "s", lambda v: moment(v, 2, HALF)),
     ("moment-d", "d", lambda v: moment(2, v, HALF)),
     ("fermionic_sum", "n", lambda v: fermionic_sum(v, 4, 3, 2)),
-    ("integral_basis", "k", lambda v: integral_basis(v, 2, HALF)),
-    ("integral_basis_reflected", "k", lambda v: integral_basis_reflected(v, 2, HALF)),
-    ("integral_product", "k", lambda v: integral_product(v, (1, 2), HALF)),
-    ("IntegralInstance", "k", lambda v: IntegralInstance(v, ((2, 1),), HALF)),
+    ("integral_direct", "k", lambda v: integral_direct(v, ((1, 1), (2, 1)), HALF)),
+    ("integral_reflected", "k", lambda v: integral_reflected(v, ((2, 1),), HALF)),
     ("fermionic_basis_sum-k", "k", lambda v: fermionic_basis_sum(v, 2, 4, 3, 2)),
     ("fermionic_basis_sum-n", "n", lambda v: fermionic_basis_sum(1, v, 4, 3, 2)),
     ("binomial_coeff", "n", lambda v: binomial_coeff(v, 1)),
@@ -234,7 +226,8 @@ EMPTY_CASES = [
     ("operator_eval_real", "samples", lambda: operator_eval_real([], 0.5, 0.5)),
     ("decasteljau_eval", "coefficient list", lambda: decasteljau_eval([], HALF)),
     ("VerifyConfig", "the q sample set", lambda: VerifyConfig(qs=())),
-    ("integral_product", "the factor list", lambda: integral_product(0, (), HALF)),
+    ("integral_direct", "the factor list", lambda: integral_direct(0, (), HALF)),
+    ("integral_reflected", "the factor list", lambda: integral_reflected(0, (), HALF)),
 ]
 
 
