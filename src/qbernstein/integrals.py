@@ -7,8 +7,11 @@ pairs, with every multiplicity 1 for a product and the single pair (n, 1)
 for a basis member.  That formula has two routes.  ``integral_direct``
 expands the integrand in powers of u = [x]_q and reads off E-moments at q;
 ``integral_reflected`` rewrites the integrand through 1 - u and lands on
-E-values at the reciprocal parameter 1/q.  Equality of the two routes is a
-central family of identities the verifier checks.
+E-values at the reciprocal parameter 1/q.  The verifier checks their
+equality as one family, ``integrals.direct_vs_reflected``.  Both routes
+scale by the same prod_i C(n_i,k)**m_i, so each check decides the moment
+pair (kM, T - kM) at q; the anchors ``integrals.anchor`` pin the
+coefficient.
 
 ``_checked`` owns the input rule of both routes (q off the poles 0, 1 and
 -1, k >= 0, factors n_i >= 0 with m_i >= 1), and ``integral_reflected`` the
@@ -19,7 +22,8 @@ The reflected forms that circulate in print keep the parameter q instead of
 at the reciprocal parameter, and the counterexample section evaluates it
 that way.  Some instances coincide numerically under both parameters (for
 example the product with k = 1 and degrees (2, 2)), which is why the suites
-always include a separating instance such as the single factor k = 1, n = 3.
+always include a separating instance such as the single factor k = 1, n = 3
+(``integrals.reflected_printed``).
 """
 
 from __future__ import annotations

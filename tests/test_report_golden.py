@@ -1,9 +1,10 @@
 """Byte-identity of the `qb verify` JSON report and of its stdout.
 
-The report digests were taken from reports written by the Fraction-based
-kernels, before the integer E-table, UPoly and truncated-sum kernels
-replaced them.  Any change to the report's bytes, deliberate or not, fails
-here; a deliberate one must update the digest and say why.
+The integer E-table, UPoly and truncated-sum kernels that replaced the
+Fraction-based ones moved no byte of these reports; the comment above
+``GOLDEN`` names the one announced change of the checks that did.  Any
+change to the report's bytes, deliberate or not, fails here; a deliberate
+one must update the digest and say why.
 """
 
 import hashlib
@@ -15,28 +16,31 @@ import pytest
 from qbernstein import verify
 from qbernstein.cli import main
 
+# Every digest was taken again when the four moment families became
+# integrals.direct_vs_reflected (each instance once), the anchors
+# integrals.anchor and the reflected printed forms integrals.reflected_printed,
+# and when the operator_methods_agree entries at t^0 and t^1 and the
+# polynomial_closed_form entries at x = 0 went; no other entry moved.
 GOLDEN = {
     "all": (
         ["--suite", "all"],
-        "e5aad3457c5cbef6c1de2c5200ef16b6a72768e835d737d143da2d79a9f16bc7",
+        "fcaec2399e4fed92d1def0be1f363d4972ce8226443f3ea54c5ebf56683c0c01",
     ),
     "all-with-counterexamples": (
         ["--suite", "all", "--include-printed-counterexamples"],
-        "986acf76c1fb750889e635ee4ffa79e36fcb91dbb0a10afdfcd38053f0cfc4eb",
+        "91224b75bd7a6f2a326d171109501573c1bdf4104a401d6eb139093c68b16b16",
     ),
+    # moved only by the operator_methods_agree entries at t^0 and t^1
     "bernstein-nmax16": (
         ["--suite", "bernstein", "--nmax", "16"],
-        "55596e56269e54a55e689375c3512bcf1107eb8f14a51cb4ac17d4543515bb89",
+        "6731859ffcfa194801e2558f90b20942023261ebb05f49866bbd8a509de444d4",
     ),
-    # kM up to 12 in the moment kernels; taken before the direct and
-    # reflected routes were folded onto one kernel each
+    # kM up to 12 in the moment kernels
     "integrals-raised-with-counterexamples": (
         ["--suite", "integrals", "--kmax", "4", "--smax", "3", "--include-printed-counterexamples"],
-        "8f72601421cffc1874bb03a593b3dfb3f06047fe9e86659018211439c33664e3",
+        "a4c62f380621f79deabce8041f96367bb2d6d246a152f1772df788314008fe66",
     ),
-    # q values the defaults never reach (negative, and q > 1 off the sample
-    # set); taken before the q-number, q-Stirling, euler_poly, moment and
-    # operator kernels moved onto integers
+    # q values the defaults never reach (negative, and q > 1 off the sample set)
     "all-offgrid-q-with-counterexamples": (
         [
             "--suite", "all",
@@ -44,7 +48,7 @@ GOLDEN = {
             "--nmax", "16", "--kmax", "3",
             "--include-printed-counterexamples",
         ],
-        "8a55bf6c718ceb2de1aa54dced46ea64b2dac6f0fb80fcdf63d60530f6476a2a",
+        "7ea87ca8fe3a492671009522ed83ac0a5baf75f6c5c40b6ddbd918645e29caa2",
     ),
     # the lowest bounds: loops that start at 1, smax = 1 products and no
     # k > 0 moments; the other digests all run smax = 3 and nmax >= 12
@@ -55,25 +59,25 @@ GOLDEN = {
             "--nmax", "1", "--smax", "1", "--kmax", "0",
             "--include-printed-counterexamples",
         ],
-        "586ba9cb61a47e98d8189f27b36bd2e7cd097988d4a40c10e3c54d2628e5258b",
+        "0d6e7472b8e7fce16bec673e383badf92caf4fa170ff811577a51354ff0a0af3",
     ),
 }
 
 
-# sha256 of `qb verify` stdout for the GOLDEN argv lists, taken while the
-# per-identity summary lines were still counted in a dict and sorted again
+# sha256 of `qb verify` stdout for the GOLDEN argv lists, taken again with
+# the report digests above: the per-identity lines follow the same change
 GOLDEN_STDOUT = {
-    "all": "1cd811e01116a35904f153eda7178d4ea9088387c78701a540e4c734554b2f2c",
+    "all": "2794b9cba6a6ad364f98ad0c8e50aa0efab9fe61a0f1a1fbe73887d0176f121e",
     "all-low-bounds-with-counterexamples": (
-        "9bd2103f84c7b7897cbcceb4806287fd1b7bfc1813eca6926009653e2f37bcf6"
+        "ae906f00049487bafd9a7789909b19777fd793bc922264b5ca8ead6049af4002"
     ),
     "all-offgrid-q-with-counterexamples": (
-        "eb342f068864ab790b7103d0da0de066ecd988ad64b7978b889ffecf1fa14bdb"
+        "7e2fea6a246869548d851c6a67c2d544ba2ebd0e850f21008a71b973b1ee24dc"
     ),
-    "all-with-counterexamples": "e1e153eb4dc8bdb753799f30e065b6050d1eca7fcb83485b0e29a3338e709dcc",
-    "bernstein-nmax16": "283e6ca2081df407779f66e46947d1c593a651eed2b85ae3e26c3ae7384bf36d",
+    "all-with-counterexamples": "929b59508e83596658bc7b81ef956cde445b7cd3ab4aeae32cc52c3a0947fc7d",
+    "bernstein-nmax16": "31c64e9e4272df4dd7bff9da2b756153024bfe24ef31d0144e9c7b52ae6fad7d",
     "integrals-raised-with-counterexamples": (
-        "9e4fd068726cd15becc35210d10481c41885488db739114b4db5fd3e22c157bd"
+        "6c35cc0c918a9b877bf57a8f963a249c59e308d7efadc322f142c35f356a1694"
     ),
 }
 

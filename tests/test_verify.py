@@ -2,12 +2,15 @@ import json
 import os
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qbernstein import verify
+from qbernstein import bernstein, verify
+from qbernstein.cli import _build_parser
 from qbernstein.kernel import DomainError
 from qbernstein.verify import (
     DEFAULT_QS,
@@ -17,6 +20,7 @@ from qbernstein.verify import (
     VerifyConfig,
     run_verify_suite,
 )
+from test_report_golden import GOLDEN
 
 FAST = VerifyConfig(suite="all", qs=(Fraction(1, 2), Fraction(5, 4)), nmax=6, smax=2, kmax=1)
 
@@ -40,12 +44,26 @@ def test_counterexamples_fail_as_expected():
     )
     report = run_verify_suite(cfg)
     assert report.ok
-    assert len(report.counterexamples) == 6
     assert all(e.verdict == "fail" for e in report.counterexamples)
-    ids = {e.identity_id for e in report.counterexamples}
-    assert "bernstein.monomial_expansion_printed" in ids
-    assert "euler.complement_printed" in ids
-    assert "integrals.basis_reflected_printed" in ids
+    assert [e.identity_id for e in report.counterexamples] == [
+        "bernstein.monomial_expansion_printed",
+        "euler.complement_printed",
+        "integrals.product_k0_printed",
+        "integrals.reflected_printed",
+        "integrals.reflected_printed",
+        "integrals.reflected_printed",
+    ]
+    # each printed moment is its own instance: no two make the same two calls
+    instances = [
+        (e.params.get("k", "0"), e.params.get("pairs") or _pairs_of(e.params["ns"]), e.params["q"])
+        for e in report.counterexamples
+        if e.identity_id.startswith("integrals.")
+    ]
+    assert len(set(instances)) == len(instances) == 4
+
+
+def _pairs_of(ns: str) -> str:
+    return ";".join(f"({n},1)" for n in ns.split(","))
 
 
 def test_printed_basis_expansion_is_the_documented_instance():
@@ -94,6 +112,90 @@ def test_single_suite_selection(suite, full_report):
 
     assert report.entries == own(full_report.entries)
     assert report.counterexamples == own(full_report.counterexamples)
+
+
+# -- one entry per moment instance, none that other entries decide -----------
+
+
+def _golden_config(argv) -> VerifyConfig:
+    args = _build_parser().parse_args(["verify", *argv])
+    return VerifyConfig(**{k: v for k, v in vars(args).items() if k in VerifyConfig.__slots__})
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def golden_run(request):
+    cfg = _golden_config(GOLDEN[request.param][0])
+    return cfg, run_verify_suite(cfg)
+
+
+def _former_moment_instances(cfg: VerifyConfig):
+    """The (k, pairs, q) of the four families that integrals.direct_vs_reflected
+    replaced, in their own loops, repeats kept."""
+    pool = [(n, m) for n in range(1, 4) for m in range(1, 3)]
+    for q in cfg.qs:
+        for n in range(min(cfg.nmax, 10) + 1):  # basis_direct_vs_reflected
+            yield from ((k, ((n, 1),), q) for k in range(n))
+        for s in range(1, cfg.smax + 1):  # product_direct_vs_reflected
+            for ns in combinations_with_replacement(range(1, 6), s):
+                pairs = tuple((n, 1) for n in ns)
+                yield from ((k, pairs, q) for k in range(cfg.kmax + 1) if sum(ns) > s * k)
+        for s in range(1, min(cfg.smax, 2) + 1):  # power_product_vs_direct
+            for pairs in combinations_with_replacement(pool, s):
+                total, mult = sum(n * m for n, m in pairs), sum(m for _, m in pairs)
+                yield from ((k, pairs, q) for k in range(cfg.kmax + 1) if total > k * mult)
+        for ns in ((2,), (1, 2), (2, 3)):  # power_product_reduces_to_product
+            pairs = tuple((n, 1) for n in ns)
+            yield from ((k, pairs, q) for k in range(cfg.kmax + 1) if sum(ns) > len(ns) * k)
+
+
+def test_every_former_moment_instance_is_checked_once(golden_run):
+    cfg, report = golden_run
+    checked = Counter(
+        (e.params["k"], e.params["pairs"], e.params["q"])
+        for e in report.entries
+        if e.identity_id == "integrals.direct_vs_reflected"
+    )
+    assert set(checked.values()) <= {1}
+    former = set()
+    if cfg.suite in ("all", "integrals"):
+        former = {
+            (str(k), verify._pairs(pairs), verify._show(q)) for k, pairs, q in _former_moment_instances(cfg)
+        }
+        assert former
+    assert set(checked) == former
+
+
+def test_dropped_entries_are_decided_by_others(golden_run):
+    cfg, report = golden_run
+    entries = {(e.identity_id, tuple(sorted(e.params.items()))): e for e in report.entries}
+
+    def entry(identity_id, **params):
+        return entries[identity_id, tuple(sorted(params.items()))]
+
+    assert all(e.verdict == "pass" for e in report.entries)
+    ids = {e.identity_id for e in report.entries}
+    if "bernstein.operator_constant" in ids:
+        # operator_methods_agree at t^0 and t^1 compared each method with the
+        # direct one on these samples; every method gives 1 and u on them here
+        for n in range(1, cfg.nmax + 1):
+            assert bernstein.monomial_samples(0, n) == [1] * (n + 1)
+            assert bernstein.monomial_samples(1, n) == [Fraction(k, n) for k in range(n + 1)]
+            for u in ("1/3", "2/5"):
+                for method in bernstein.OPERATOR_METHODS:
+                    assert entry("bernstein.operator_constant", n=str(n), u=u, method=method).rhs == "1"
+                    assert entry("bernstein.operator_linear", n=str(n), u=u, method=method).rhs == u
+        agree = [e for e in report.entries if e.identity_id == "bernstein.operator_methods_agree"]
+        assert not [e for e in agree if e.params["samples"].startswith(("t^0,", "t^1,"))]
+    if "euler.polynomial_at_zero" in ids:
+        # polynomial_closed_form at x = 0 compared euler_poly(n, 0, q), the lhs
+        # of polynomial_at_zero, with euler_poly_closed(n, 0, q) = euler_closed(n, q),
+        # the lhs of closed_matches_recurrence; both rhs are E_{n,q}
+        for q in map(verify._show, cfg.qs):
+            for n in map(str, range(9)):
+                at_zero = entry("euler.polynomial_at_zero", n=n, q=q)
+                assert at_zero.rhs == entry("euler.closed_matches_recurrence", n=n, q=q).rhs
+        closed = [e for e in report.entries if e.identity_id == "euler.polynomial_closed_form"]
+        assert not [e for e in closed if e.params["x"] == "0"]
 
 
 def test_config_validation():
