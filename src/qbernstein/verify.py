@@ -19,8 +19,8 @@ suite yields is free; the key order inside ``params`` is printed as given.
 Each identity is one family, checked once per instance: the moment of
 prod_i B_{k,n_i}**m_i, whether a basis member, a product or a power
 product, is ``integrals.direct_vs_reflected`` over ``_moment_instances``,
-with its anchor values in ``integrals.anchor``.  No entry repeats what
-others decide, so ``bernstein.operator_methods_agree`` starts at the
+with its anchor values in ``integrals.anchor``.  Entries that others
+decide are left out: ``bernstein.operator_methods_agree`` starts at the
 samples t^2 and ``euler.polynomial_closed_form`` skips x = 0.
 
 Known-misprinted variants of several identities are yielded by a separate
