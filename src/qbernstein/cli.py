@@ -208,7 +208,8 @@ def _print_report(report: IdentityReport) -> None:
                 if entry.verdict == "fail"
                 else "UNEXPECTEDLY PASSING"
             )
-            print(f"{entry.identity_id:<44} {status}")
+            params = ", ".join(f"{k}={v}" for k, v in entry.params.items())
+            print(f"{entry.identity_id:<44} {status}  ({params})")
     s = report.summary
     print()
     print(f"checks: {s['checks']}, failed: {s['failed']}")

@@ -9,9 +9,10 @@ expands the integrand in powers of u = [x]_q and reads off E-moments at q;
 ``integral_reflected`` rewrites the integrand through 1 - u and lands on
 E-values at the reciprocal parameter 1/q.  The verifier checks their
 equality as one family, ``integrals.direct_vs_reflected``.  Both routes
-scale by the same prod_i C(n_i,k)**m_i, so each check decides the moment
-pair (kM, T - kM) at q; the anchors ``integrals.anchor`` pin the
-coefficient.
+scale by the same prod_i C(n_i,k)**m_i, so a check decides the moment pair
+(kM, T - kM) at q: the family has one entry per pair and q (360 at the
+defaults), none where the coefficient is 0 (some n_i < k, both routes 0),
+and the anchors ``integrals.anchor`` pin the coefficient.
 
 ``_checked`` owns the input rule of both routes (q off the poles 0, 1 and
 -1, k >= 0, factors n_i >= 0 with m_i >= 1), and ``integral_reflected`` the

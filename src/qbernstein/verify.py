@@ -16,12 +16,14 @@ residual).  ``_entry`` prints the values into a ``ReportEntry``.  The
 report sorts its entries by identity and params, so the order in which a
 suite yields is free; the key order inside ``params`` is printed as given.
 
-Each identity is one family, checked once per instance: the moment of
+Each identity is one family, and each entry one statement: the moment of
 prod_i B_{k,n_i}**m_i, whether a basis member, a product or a power
-product, is ``integrals.direct_vs_reflected`` over ``_moment_instances``,
-with its anchor values in ``integrals.anchor``.  Entries that others
-decide are left out: ``bernstein.operator_methods_agree`` starts at the
-samples t^2 and ``euler.polynomial_closed_form`` skips x = 0.
+product, is ``integrals.direct_vs_reflected`` once per moment pair
+(kM, T - kM) and q (360 entries at the defaults, none with a zero
+coefficient), with its anchor values in ``integrals.anchor``.  Entries that
+others decide are left out: ``bernstein.operator_methods_agree`` starts at
+the samples t^2, ``euler.polynomial_closed_form`` skips x = 0, and the
+q-free ``stirling.basis_expansion_bridge`` runs at the smallest q only.
 
 Known-misprinted variants of several identities are yielded by a separate
 generator into the counterexample section, where they are expected to FAIL;
@@ -477,12 +479,13 @@ def _suite_euler(cfg: VerifyConfig):
 
 
 def _moment_instances(cfg: VerifyConfig) -> list[tuple[int, tuple]]:
-    """Each (k, pairs) of ``integrals.direct_vs_reflected`` once: B_{k,n} for
-    k < n <= min(nmax, 10); then, at every k <= kmax with T > kM, products of
-    up to smax members of degree <= 5, power products of up to two factors
-    B_{k,n}**m with n <= 3 and m <= 2, and the products of degrees (2,),
-    (1, 2) and (2, 3) at any smax."""
-    instances = dict.fromkeys((k, ((n, 1),)) for n in range(1, min(cfg.nmax, 10) + 1) for k in range(n))
+    """One (k, pairs) of ``integrals.direct_vs_reflected`` per moment pair
+    (kM, T - kM), the first to reach it with no n_i < k (a zero coefficient)
+    in this order: B_{k,n} for k < n <= min(nmax, 10); then, at every
+    k <= kmax with T > kM, products of up to smax members of degree <= 5,
+    power products of up to two factors B_{k,n}**m with n <= 3 and m <= 2,
+    and the products of degrees (2,), (1, 2) and (2, 3) at any smax."""
+    instances = {(k, n - k): (k, ((n, 1),)) for n in range(1, min(cfg.nmax, 10) + 1) for k in range(n)}
     pool = [(n, m) for n in range(1, 4) for m in range(1, 3)]
     products = [
         tuple((n, 1) for n in ns)
@@ -493,15 +496,18 @@ def _moment_instances(cfg: VerifyConfig) -> list[tuple[int, tuple]]:
     products += [((2, 1),), ((1, 1), (2, 1)), ((2, 1), (3, 1))]
     for pairs in products:
         total, mult = sum(n * m for n, m in pairs), sum(m for _, m in pairs)
-        instances.update(dict.fromkeys((k, pairs) for k in range(cfg.kmax + 1) if total > k * mult))
-    return list(instances)
+        for k in range(cfg.kmax + 1):
+            if total > k * mult and min(n for n, _ in pairs) >= k:
+                instances.setdefault((k * mult, total - k * mult), (k, pairs))
+    return list(instances.values())
 
 
 def _suite_integrals(cfg: VerifyConfig):
     instances = _moment_instances(cfg)
     for q in cfg.qs:
+        basis = {(k, ((n, 1),)): qi.integral_direct(k, ((n, 1),), q) for n in range(11) for k in range(n + 1)}
         for n in range(11):
-            direct = [qi.integral_direct(k, ((n, 1),), q) for k in range(n + 1)]
+            direct = [basis[k, ((n, 1),)] for k in range(n + 1)]
             yield "integrals.partition_integral", {"n": n, "q": q}, sum(direct), 1
             if n < 7:
                 top = euler_number(n, q)
@@ -510,7 +516,7 @@ def _suite_integrals(cfg: VerifyConfig):
             yield (
                 "integrals.direct_vs_reflected",
                 {"k": k, "pairs": _pairs(pairs), "q": q},
-                qi.integral_direct(k, pairs, q),
+                basis[k, pairs] if (k, pairs) in basis else qi.integral_direct(k, pairs, q),
                 qi.integral_reflected(k, pairs, q),
             )
 
@@ -520,6 +526,7 @@ def _suite_integrals(cfg: VerifyConfig):
         (1, ((2, 2),), Fraction(-16, 255)),
         (1, ((3, 1),), Fraction(2, 15)),
         (0, ((1, 2),), Fraction(31, 15)),
+        (1, ((2, 2), (3, 1)), Fraction(-998176, 522665)),
     )
     for k, pairs, want in anchors:
         for route, integral in (("direct", qi.integral_direct), ("reflected", qi.integral_reflected)):
@@ -537,7 +544,7 @@ def _suite_integrals(cfg: VerifyConfig):
 
 
 def _suite_stirling(cfg: VerifyConfig):
-    # built once: the bridge's basis side does not depend on q
+    # built once, checked at the smallest q: as expansions[j] == u**j (monomial_expansion), it is q-free
     bridge = {(j, n): _monomial_via_basis(j, _basis_row(n)) for n in range(9) for j in range(n + 1)}
     for q in cfg.qs:
         for k in range(1, 13):
@@ -549,8 +556,9 @@ def _suite_stirling(cfg: VerifyConfig):
         for n, expansion in enumerate(expansions):
             yield "stirling.monomial_expansion", {"n": n, "q": q}, expansion, UPoly.monomial(n)
         yield "stirling.anchor_3_2", {"q": q}, qst.q_stirling2(3, 2, q), 2 + q
-        for (j, n), total in bridge.items():
-            yield "stirling.basis_expansion_bridge", {"j": j, "n": n, "q": q}, total, expansions[j]
+        if q == min(cfg.qs):
+            for (j, n), total in bridge.items():
+                yield "stirling.basis_expansion_bridge", {"j": j, "n": n, "q": q}, total, expansions[j]
 
     for n in range(11):
         for k in range(n + 1):

@@ -19,7 +19,7 @@ from qbernstein.cli import (
 )
 from qbernstein.euler import euler_number, fermionic_sum
 from qbernstein.kernel import DomainError, binomial_coeff, format_rational, padic_valuation
-from qbernstein.verify import VerifyConfig
+from qbernstein.verify import IdentityReport, ReportEntry, VerifyConfig
 
 
 def run_cli(*args, **kwargs):
@@ -583,6 +583,22 @@ class TestVerifyCommand:
         assert report["summary"]["counterexamples"] == 4
         assert all(e["verdict"] == "fail" for e in report["counterexamples"])
         assert "counterexamples (expected to fail):" in proc.stdout
+
+    def test_each_counterexample_line_names_its_instance(self, monkeypatch, capsys):
+        printed = "integrals.reflected_printed"
+        stub = IdentityReport(
+            counterexamples=[
+                ReportEntry(printed, {"k": "1", "pairs": "(3,1)", "q": "1/2"}, "-4/3", "2/15", "fail"),
+                ReportEntry(printed, {"k": "1", "pairs": "(2,2)", "q": "1/2"}, "1", "1", "pass"),
+            ]
+        )
+        monkeypatch.setattr(qbernstein.cli, "run_verify_suite", lambda cfg: stub)
+        assert main(["verify", "--include-printed-counterexamples"]) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(printed)]
+        assert lines == [
+            f"{printed:<44} UNEXPECTEDLY PASSING  (k=1, pairs=(2,2), q=1/2)",
+            f"{printed:<44} failed as expected  (k=1, pairs=(3,1), q=1/2)",
+        ]
 
 
 # sha256 of stdout, taken while `qb operator` and `qb padic` still wrote

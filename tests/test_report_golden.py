@@ -17,18 +17,22 @@ from qbernstein import verify
 from qbernstein.cli import main
 
 # Every digest was taken again when the four moment families became
-# integrals.direct_vs_reflected (each instance once), the anchors
-# integrals.anchor and the reflected printed forms integrals.reflected_printed,
-# and when the operator_methods_agree entries at t^0 and t^1 and the
-# polynomial_closed_form entries at x = 0 went; no other entry moved.
+# integrals.direct_vs_reflected, the anchors integrals.anchor and the
+# reflected printed forms integrals.reflected_printed, and when the
+# operator_methods_agree entries at t^0 and t^1 and the polynomial_closed_form
+# entries at x = 0 went.  All but bernstein-nmax16 were taken again when
+# integrals.direct_vs_reflected kept one entry per moment pair (kM, T - kM)
+# and q, without zero-coefficient instances, stirling.basis_expansion_bridge
+# ran at the smallest q only, and integrals.anchor gained k = 1 at pairs
+# ((2,2),(3,1)); no kept entry moved.
 GOLDEN = {
     "all": (
         ["--suite", "all"],
-        "fcaec2399e4fed92d1def0be1f363d4972ce8226443f3ea54c5ebf56683c0c01",
+        "a5dfcb75b10e0c1a3714c95a720ec0952181f577a1a647b4243f4d78572e2463",
     ),
     "all-with-counterexamples": (
         ["--suite", "all", "--include-printed-counterexamples"],
-        "91224b75bd7a6f2a326d171109501573c1bdf4104a401d6eb139093c68b16b16",
+        "27b5627015e37cd9cd354b06805e7659838684cb61054a088fee4a94e3cac2bb",
     ),
     # moved only by the operator_methods_agree entries at t^0 and t^1
     "bernstein-nmax16": (
@@ -38,7 +42,7 @@ GOLDEN = {
     # kM up to 12 in the moment kernels
     "integrals-raised-with-counterexamples": (
         ["--suite", "integrals", "--kmax", "4", "--smax", "3", "--include-printed-counterexamples"],
-        "a4c62f380621f79deabce8041f96367bb2d6d246a152f1772df788314008fe66",
+        "d700e4d644e6ec931b68e3da19125bc949b4e047100444183f3cafe381ad91ac",
     ),
     # q values the defaults never reach (negative, and q > 1 off the sample set)
     "all-offgrid-q-with-counterexamples": (
@@ -48,7 +52,7 @@ GOLDEN = {
             "--nmax", "16", "--kmax", "3",
             "--include-printed-counterexamples",
         ],
-        "7ea87ca8fe3a492671009522ed83ac0a5baf75f6c5c40b6ddbd918645e29caa2",
+        "280ed2f4d2ba1b8d7a93cc9c1a2d086b31723e770e0b35cbcd8f1a461f1c7c54",
     ),
     # the lowest bounds: loops that start at 1, smax = 1 products and no
     # k > 0 moments; the other digests all run smax = 3 and nmax >= 12
@@ -59,25 +63,26 @@ GOLDEN = {
             "--nmax", "1", "--smax", "1", "--kmax", "0",
             "--include-printed-counterexamples",
         ],
-        "0d6e7472b8e7fce16bec673e383badf92caf4fa170ff811577a51354ff0a0af3",
+        "4e3cbe70a53a5249d43b726c566d9def542c9154193b474813cead4b39531f40",
     ),
 }
 
 
 # sha256 of `qb verify` stdout for the GOLDEN argv lists, taken again with
-# the report digests above: the per-identity lines follow the same change
+# the report digests above: the per-identity lines follow the same change,
+# and each counterexample line names its params
 GOLDEN_STDOUT = {
-    "all": "2794b9cba6a6ad364f98ad0c8e50aa0efab9fe61a0f1a1fbe73887d0176f121e",
+    "all": "25e5a1ab83876b9757b068a107e4596a7d6161b7edc7e7364f61a76de5e89b18",
     "all-low-bounds-with-counterexamples": (
-        "ae906f00049487bafd9a7789909b19777fd793bc922264b5ca8ead6049af4002"
+        "f98bf4b4410bb781fc3eabfc169684de60a17d9f229673890996b5206e7528bf"
     ),
     "all-offgrid-q-with-counterexamples": (
-        "7e2fea6a246869548d851c6a67c2d544ba2ebd0e850f21008a71b973b1ee24dc"
+        "8c41d5968031dd6cda0e7e6205457196884ad7b42c468f56fc6695fe8e499542"
     ),
-    "all-with-counterexamples": "929b59508e83596658bc7b81ef956cde445b7cd3ab4aeae32cc52c3a0947fc7d",
+    "all-with-counterexamples": "3c2bd8a42f21ebfdf858ebc18b4b2f80de9dd5f89475883d9cefece151bc4ac6",
     "bernstein-nmax16": "31c64e9e4272df4dd7bff9da2b756153024bfe24ef31d0144e9c7b52ae6fad7d",
     "integrals-raised-with-counterexamples": (
-        "6c35cc0c918a9b877bf57a8f963a249c59e308d7efadc322f142c35f356a1694"
+        "98b2c72dbd5f1e0006f875989b0fb6b63921cb611486cbda149e4f4cf450f880"
     ),
 }
 

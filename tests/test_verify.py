@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import threading
 import time
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qbernstein import bernstein, verify
-from qbernstein.cli import _build_parser
-from qbernstein.kernel import DomainError
+from qbernstein.cli import _build_parser, main
+from qbernstein.integrals import integral_direct, integral_reflected
+from qbernstein.kernel import DomainError, binomial_coeff
 from qbernstein.verify import (
     DEFAULT_QS,
     SUITES,
@@ -114,7 +116,7 @@ def test_single_suite_selection(suite, full_report):
     assert report.counterexamples == own(full_report.counterexamples)
 
 
-# -- one entry per moment instance, none that other entries decide -----------
+# -- one entry per statement, none that other entries decide ------------------
 
 
 def _golden_config(argv) -> VerifyConfig:
@@ -128,41 +130,68 @@ def golden_run(request):
     return cfg, run_verify_suite(cfg)
 
 
-def _former_moment_instances(cfg: VerifyConfig):
-    """The (k, pairs, q) of the four families that integrals.direct_vs_reflected
-    replaced, in their own loops, repeats kept."""
+def _loop_instances(cfg: VerifyConfig):
+    """The (k, pairs, q) that the moment loops reach, in their order, repeats
+    kept: the basis members, the products, the power products and the three
+    products that once reduced the power products to products."""
     pool = [(n, m) for n in range(1, 4) for m in range(1, 3)]
     for q in cfg.qs:
-        for n in range(min(cfg.nmax, 10) + 1):  # basis_direct_vs_reflected
+        for n in range(min(cfg.nmax, 10) + 1):
             yield from ((k, ((n, 1),), q) for k in range(n))
-        for s in range(1, cfg.smax + 1):  # product_direct_vs_reflected
+        for s in range(1, cfg.smax + 1):
             for ns in combinations_with_replacement(range(1, 6), s):
                 pairs = tuple((n, 1) for n in ns)
                 yield from ((k, pairs, q) for k in range(cfg.kmax + 1) if sum(ns) > s * k)
-        for s in range(1, min(cfg.smax, 2) + 1):  # power_product_vs_direct
+        for s in range(1, min(cfg.smax, 2) + 1):
             for pairs in combinations_with_replacement(pool, s):
                 total, mult = sum(n * m for n, m in pairs), sum(m for _, m in pairs)
                 yield from ((k, pairs, q) for k in range(cfg.kmax + 1) if total > k * mult)
-        for ns in ((2,), (1, 2), (2, 3)):  # power_product_reduces_to_product
+        for ns in ((2,), (1, 2), (2, 3)):
             pairs = tuple((n, 1) for n in ns)
             yield from ((k, pairs, q) for k in range(cfg.kmax + 1) if sum(ns) > len(ns) * k)
 
 
-def test_every_former_moment_instance_is_checked_once(golden_run):
+def _moment_pair(k: int, pairs) -> tuple[int, int]:
+    kM = k * sum(m for _, m in pairs)
+    return kM, sum(n * m for n, m in pairs) - kM
+
+
+def _coefficient(k: int, pairs) -> int:
+    return math.prod(binomial_coeff(n, k) ** m for n, m in pairs)
+
+
+def _representatives(cfg: VerifyConfig) -> dict:
+    """(kM, T - kM, q) -> the first (k, pairs) in the loops' order that
+    reaches it with a nonzero coefficient."""
+    reps = {}
+    for k, pairs, q in _loop_instances(cfg):
+        if _coefficient(k, pairs):
+            reps.setdefault((*_moment_pair(k, pairs), q), (k, pairs))
+    return reps
+
+
+def _parsed_pairs(shown: str) -> tuple:
+    return tuple(tuple(map(int, pair.strip("()").split(","))) for pair in shown.split(";"))
+
+
+def test_every_moment_pair_is_checked_once(golden_run):
     cfg, report = golden_run
-    checked = Counter(
-        (e.params["k"], e.params["pairs"], e.params["q"])
-        for e in report.entries
-        if e.identity_id == "integrals.direct_vs_reflected"
-    )
-    assert set(checked.values()) <= {1}
-    former = set()
-    if cfg.suite in ("all", "integrals"):
-        former = {
-            (str(k), verify._pairs(pairs), verify._show(q)) for k, pairs, q in _former_moment_instances(cfg)
-        }
-        assert former
-    assert set(checked) == former
+    family = [e for e in report.entries if e.identity_id == "integrals.direct_vs_reflected"]
+    if cfg.suite not in ("all", "integrals"):
+        assert not family
+        return
+    qs = {verify._show(q): q for q in cfg.qs}
+    checked = Counter()
+    reps = _representatives(cfg)
+    for e in family:
+        k, pairs, q = int(e.params["k"]), _parsed_pairs(e.params["pairs"]), qs[e.params["q"]]
+        assert _coefficient(k, pairs) != 0
+        key = (*_moment_pair(k, pairs), q)
+        assert reps[key] == (k, pairs)
+        checked[key] += 1
+    assert set(checked.values()) == {1}
+    reached = {(*_moment_pair(k, pairs), q) for k, pairs, q in _loop_instances(cfg)}
+    assert set(checked) == set(reps) == reached
 
 
 def test_dropped_entries_are_decided_by_others(golden_run):
@@ -196,6 +225,69 @@ def test_dropped_entries_are_decided_by_others(golden_run):
                 assert at_zero.rhs == entry("euler.closed_matches_recurrence", n=n, q=q).rhs
         closed = [e for e in report.entries if e.identity_id == "euler.polynomial_closed_form"]
         assert not [e for e in closed if e.params["x"] == "0"]
+    if "integrals.direct_vs_reflected" in ids:
+        # both routes scale one moment sum by prod_i C(n_i,k)**m_i (at kM = 0 they
+        # make the same calls), so an instance is its representative's values times
+        # the coefficients' ratio, and 0 on both routes where its coefficient is 0
+        reps = _representatives(cfg)
+        for k, pairs, q in set(_loop_instances(cfg)):
+            key = (*_moment_pair(k, pairs), q)
+            direct, reflected = integral_direct(k, pairs, q), integral_reflected(k, pairs, q)
+            coeff = _coefficient(k, pairs)
+            if not coeff:
+                assert direct == reflected == 0
+                continue
+            rep_k, rep_pairs = reps[key]
+            rep = entry(
+                "integrals.direct_vs_reflected",
+                k=str(rep_k),
+                pairs=verify._pairs(rep_pairs),
+                q=verify._show(q),
+            )
+            ratio = Fraction(coeff, _coefficient(rep_k, rep_pairs))
+            assert direct == ratio * Fraction(rep.lhs)
+            assert reflected == ratio * Fraction(rep.rhs)
+    if "stirling.monomial_expansion" in ids:
+        # monomial_expansion checks expansions[j] == u**j at every q, so a bridge
+        # entry total == expansions[j] is the same q-free statement at every q
+        smallest = verify._show(min(cfg.qs))
+        bridges = [e for e in report.entries if e.identity_id == "stirling.basis_expansion_bridge"]
+        assert {e.params["q"] for e in bridges} == {smallest}
+        assert len(bridges) == 45
+        for q in map(verify._show, cfg.qs):
+            for bridge in bridges:
+                expansion = entry("stirling.monomial_expansion", n=bridge.params["j"], q=q)
+                assert expansion.verdict == bridge.verdict == "pass"
+                assert bridge.lhs == bridge.rhs == expansion.lhs == expansion.rhs
+
+
+def test_report_does_not_depend_on_the_order_of_q(tmp_path, capsys):
+    reports = []
+    for qs in (["--q", "1/2", "--q", "2/3", "--q=-7/3"], ["--q=-7/3", "--q", "2/3", "--q", "1/2"]):
+        out = tmp_path / "report.json"
+        assert main(["verify", *qs, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+def test_each_moment_is_computed_once_per_sample_q(monkeypatch):
+    # the direct_vs_reflected entries of the basis members read the values
+    # that partition_integral computed; the anchors run at q = 1/2 alone
+    calls = Counter()
+    direct = verify.qi.integral_direct
+
+    def counted(k, pairs, q):
+        calls[k, pairs, q] += 1
+        return direct(k, pairs, q)
+
+    monkeypatch.setattr(verify.qi, "integral_direct", counted)
+    cfg = VerifyConfig(suite="integrals", qs=(Fraction(2, 3), Fraction(-3)))
+    assert len(list(verify._suite_integrals(cfg))) > 100
+    basis = {(k, ((n, 1),)) for n in range(11) for k in range(n + 1)}
+    moments = basis.union(verify._moment_instances(cfg))
+    assert {key for key in calls if key[2] in cfg.qs} == {(*m, q) for m in moments for q in cfg.qs}
+    assert {calls[key] for key in calls if key[2] in cfg.qs} == {1}
 
 
 def test_config_validation():
