@@ -16,14 +16,13 @@ residual).  ``_entry`` prints the values into a ``ReportEntry``.  The
 report sorts its entries by identity and params, so the order in which a
 suite yields is free; the key order inside ``params`` is printed as given.
 
-Each identity is one family, and each entry one statement: the moment of
-prod_i B_{k,n_i}**m_i, whether a basis member, a product or a power
-product, is ``integrals.direct_vs_reflected`` once per moment pair
-(kM, T - kM) and q (360 entries at the defaults, none with a zero
-coefficient), with its anchor values in ``integrals.anchor``.  Entries that
-others decide are left out: ``bernstein.operator_methods_agree`` starts at
-the samples t^2, ``euler.polynomial_closed_form`` skips x = 0, and the
-q-free ``stirling.basis_expansion_bridge`` runs at the smallest q only.
+Each identity is one family, and within a suite each entry is one
+statement: the moment of prod_i B_{k,n_i}**m_i (a basis member, product or
+power product) is ``integrals.direct_vs_reflected`` once per moment pair
+(kM, T - kM) and q (360 entries at the defaults, no zero coefficient).
+Entries that others decide are left out: ``bernstein.operator_methods_agree``
+starts at t^2, ``euler.polynomial_closed_form`` skips x = 0, and the q-free
+``stirling.basis_expansion_bridge`` runs at the smallest q only.
 
 Known-misprinted variants of several identities are yielded by a separate
 generator into the counterexample section, where they are expected to FAIL;
@@ -504,10 +503,11 @@ def _moment_instances(cfg: VerifyConfig) -> list[tuple[int, tuple]]:
 
 def _suite_integrals(cfg: VerifyConfig):
     instances = _moment_instances(cfg)
+    keys = dict.fromkeys([(k, ((n, 1),)) for n in range(11) for k in range(n + 1)] + instances)
     for q in cfg.qs:
-        basis = {(k, ((n, 1),)): qi.integral_direct(k, ((n, 1),), q) for n in range(11) for k in range(n + 1)}
+        moments = {key: qi.integral_direct(*key, q) for key in keys}
         for n in range(11):
-            direct = [basis[k, ((n, 1),)] for k in range(n + 1)]
+            direct = [moments[k, ((n, 1),)] for k in range(n + 1)]
             yield "integrals.partition_integral", {"n": n, "q": q}, sum(direct), 1
             if n < 7:
                 top = euler_number(n, q)
@@ -516,7 +516,7 @@ def _suite_integrals(cfg: VerifyConfig):
             yield (
                 "integrals.direct_vs_reflected",
                 {"k": k, "pairs": _pairs(pairs), "q": q},
-                basis[k, pairs] if (k, pairs) in basis else qi.integral_direct(k, pairs, q),
+                moments[k, pairs],
                 qi.integral_reflected(k, pairs, q),
             )
 

@@ -272,8 +272,8 @@ def test_report_does_not_depend_on_the_order_of_q(tmp_path, capsys):
 
 
 def test_each_moment_is_computed_once_per_sample_q(monkeypatch):
-    # the direct_vs_reflected entries of the basis members read the values
-    # that partition_integral computed; the anchors run at q = 1/2 alone
+    # partition_integral and direct_vs_reflected read one table of moments
+    # per q; the anchors run at q = 1/2 alone
     calls = Counter()
     direct = verify.qi.integral_direct
 
