@@ -147,6 +147,14 @@ class TestBasisEval:
                         assert abs(lhs - rhs) <= 1e-12
 
 
+def test_exact_binary_channel_value():
+    # two or more errors among r = 3 sends at error rate xi: B_{2,3} + B_{3,3}
+    # is the binomial law 3 xi^2 (1 - xi) + xi^3, exactly
+    xi = Fraction(1, 1000)
+    value = basis_eval_exact((2, 3), xi) + basis_eval_exact((3, 3), xi)
+    assert value == 3 * xi**2 * (1 - xi) + xi**3 == Fraction(1499, 500000000)
+
+
 class TestBasisUPoly:
     def test_examples(self):
         assert basis_upoly((1, 2)).coeffs == (Fraction(0), Fraction(2), Fraction(-2))

@@ -24,20 +24,26 @@ from qbernstein.cli import main
 # integrals.direct_vs_reflected kept one entry per moment pair (kM, T - kM)
 # and q, without zero-coefficient instances, stirling.basis_expansion_bridge
 # ran at the smallest q only, and integrals.anchor gained k = 1 at pairs
-# ((2,2),(3,1)); no kept entry moved.
+# ((2,2),(3,1)); no kept entry moved.  All but the integrals-raised pair
+# were taken again when stirling.basis_expansion_bridge went (the bernstein
+# suite's monomial_in_basis owns its statement), operator_stirling_bridge
+# started at m = 2 (operator_constant and operator_linear decide t^0 and
+# t^1), and bernstein.binary_channel_value became exact (1499/500000000);
+# no other kept entry moved.
 GOLDEN = {
     "all": (
         ["--suite", "all"],
-        "a5dfcb75b10e0c1a3714c95a720ec0952181f577a1a647b4243f4d78572e2463",
+        "ea470228fe87878504b556d15d95464de3afebb1b84c00d29630f0ff1e141b8a",
     ),
     "all-with-counterexamples": (
         ["--suite", "all", "--include-printed-counterexamples"],
-        "27b5627015e37cd9cd354b06805e7659838684cb61054a088fee4a94e3cac2bb",
+        "c190c8bf01c26cac1a7080db8067a7cceeb3d20b7449ab050fb80ca07021d791",
     ),
-    # moved only by the operator_methods_agree entries at t^0 and t^1
+    # moved only by the operator_methods_agree entries at t^0 and t^1, then by
+    # the operator_stirling_bridge entries at m < 2 and the exact channel value
     "bernstein-nmax16": (
         ["--suite", "bernstein", "--nmax", "16"],
-        "6731859ffcfa194801e2558f90b20942023261ebb05f49866bbd8a509de444d4",
+        "92864291eccc144db1c54c82a1ceaa1a619d2834e35847aad83350cda29a4c05",
     ),
     # kM up to 12 in the moment kernels
     "integrals-raised-with-counterexamples": (
@@ -52,7 +58,7 @@ GOLDEN = {
             "--nmax", "16", "--kmax", "3",
             "--include-printed-counterexamples",
         ],
-        "280ed2f4d2ba1b8d7a93cc9c1a2d086b31723e770e0b35cbcd8f1a461f1c7c54",
+        "3086ee9148aee7ec616866d6dd02fb0c83032463fb031a9ae8e7efdc513c7dae",
     ),
     # the lowest bounds: loops that start at 1, smax = 1 products and no
     # k > 0 moments; the other digests all run smax = 3 and nmax >= 12
@@ -63,7 +69,7 @@ GOLDEN = {
             "--nmax", "1", "--smax", "1", "--kmax", "0",
             "--include-printed-counterexamples",
         ],
-        "4e3cbe70a53a5249d43b726c566d9def542c9154193b474813cead4b39531f40",
+        "d3a3bf03938f89d8667a6b5584e836a6c5010cce9c2ae2bd76b54734f5bff2d7",
     ),
 }
 
@@ -72,15 +78,15 @@ GOLDEN = {
 # the report digests above: the per-identity lines follow the same change,
 # and each counterexample line names its params
 GOLDEN_STDOUT = {
-    "all": "25e5a1ab83876b9757b068a107e4596a7d6161b7edc7e7364f61a76de5e89b18",
+    "all": "db72225c6cb0517d416af5114c07a080946ac4d340c4fcc70a0d6bace0a48f78",
     "all-low-bounds-with-counterexamples": (
-        "f98bf4b4410bb781fc3eabfc169684de60a17d9f229673890996b5206e7528bf"
+        "2490f6f8b0d2845830064a9e0508ae7c28531a75b81daf3766974a48783bdf75"
     ),
     "all-offgrid-q-with-counterexamples": (
-        "8c41d5968031dd6cda0e7e6205457196884ad7b42c468f56fc6695fe8e499542"
+        "34c5405936474f7079e3d1581ee6a6d81c1bd848fc2fe65c8cef8b8730789c3d"
     ),
-    "all-with-counterexamples": "3c2bd8a42f21ebfdf858ebc18b4b2f80de9dd5f89475883d9cefece151bc4ac6",
-    "bernstein-nmax16": "31c64e9e4272df4dd7bff9da2b756153024bfe24ef31d0144e9c7b52ae6fad7d",
+    "all-with-counterexamples": "70b53e40d0eab8fc62cc9bcdfffb812d63e6863773a94cff9c97f95ae44564dc",
+    "bernstein-nmax16": "5c282a195a2b5f402e1114648a751c46516c73b2d728f1228e80a2b43288af81",
     "integrals-raised-with-counterexamples": (
         "98b2c72dbd5f1e0006f875989b0fb6b63921cb611486cbda149e4f4cf450f880"
     ),

@@ -1,10 +1,14 @@
 """The scripts under scripts/.
 
 classical_limit_sweep.py must show its gaps to the classical basis
-shrinking linearly in |1 - q|.  Every script line of README's "Experiment
-scripts" block must run.
+shrinking linearly in |1 - q|.  report_diff.py must count, per identity,
+the entries that went, were added or changed between two reports, and
+import nothing from the package.  Every script line of README's
+"Experiment scripts" block must run.
 """
 
+import ast
+import json
 import os
 import shlex
 import subprocess
@@ -15,6 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP = ROOT / "scripts" / "classical_limit_sweep.py"
+REPORT_DIFF = ROOT / "scripts" / "report_diff.py"
 
 
 def test_classical_limit_gaps_shrink_linearly_in_one_minus_q():
@@ -47,3 +52,86 @@ def test_readme_script_examples_run():
         argv = [sys.executable, *shlex.split(line)[1:]]
         proc = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT)
         assert proc.returncode == 0, (line, proc.stderr)
+
+
+def _report(entries, counterexamples=()):
+    def entry(identity_id, params, lhs, rhs="1", verdict="pass"):
+        return {"identity_id": identity_id, "params": params, "lhs": lhs, "rhs": rhs, "verdict": verdict}
+
+    return {
+        "summary": {"checks": len(entries)},
+        "entries": [entry(*e) for e in entries],
+        "counterexamples": [entry(*e) for e in counterexamples],
+    }
+
+
+def _report_diff(tmp_path, old, new):
+    paths = []
+    for name, report in (("old.json", old), ("new.json", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(report, indent=2) + "\n")
+    return subprocess.run(
+        [sys.executable, str(REPORT_DIFF), *map(str, paths)], capture_output=True, text=True
+    )
+
+
+def test_report_diff_counts_what_went_was_added_or_changed(tmp_path):
+    printed = [("b.printed", {"k": "1"}, "2", "1", "fail")]
+    old = _report(
+        [
+            ("a.kept", {"n": "1"}, "1"),
+            ("a.kept", {"n": "2"}, "1"),
+            ("b.bridge", {"m": "0", "n": "1"}, "1"),
+            ("b.bridge", {"m": "2", "n": "1"}, "1"),
+            ("b.channel", {}, "2.9980000000000003e-06", "2.998e-06"),
+            ("c.gone", {"j": "0"}, "1"),
+        ],
+        printed,
+    )
+    new = _report(
+        [
+            ("a.kept", {"n": "1"}, "1"),
+            ("a.kept", {"n": "2"}, "1"),
+            ("b.bridge", {"m": "2", "n": "1"}, "1"),
+            ("b.channel", {}, "1499/500000000", "1499/500000000"),
+            ("d.new", {}, "1"),
+        ],
+        printed,
+    )
+    proc = _report_diff(tmp_path, old, new)
+    assert proc.returncode == 1, proc.stderr
+    counts = {}
+    for line in proc.stdout.splitlines():
+        words = line.split()
+        if len(words) == 9 and words[1] == "went":
+            counts[words[0]] = tuple(map(int, words[2::2]))
+    # (went, added, changed, kept) per identity that moved
+    assert counts == {
+        "b.bridge": (1, 0, 0, 1),
+        "b.channel": (0, 0, 1, 0),
+        "c.gone": (1, 0, 0, 0),
+        "d.new": (0, 1, 0, 0),
+    }
+    assert "entries: 6 -> 5" in proc.stdout
+    assert '"2.9980000000000003e-06" -> "1499/500000000"' in proc.stdout
+    assert "unchanged: 1 identities; 3 entries kept byte-identical" in proc.stdout
+    assert proc.stdout.endswith("counterexamples: 1 -> 1\n  unchanged: 1 identities; 1 entries kept byte-identical\n")
+
+
+def test_report_diff_compares_the_counterexamples(tmp_path):
+    entries = [("a.kept", {"n": "1"}, "1")]
+    old = _report(entries, [("b.printed", {"k": "1"}, "2", "1", "fail")])
+    same = _report_diff(tmp_path, old, old)
+    assert same.returncode == 0, same.stderr
+    new = _report(entries, [("b.printed", {"k": "1"}, "1", "1", "pass")])
+    proc = _report_diff(tmp_path, old, new)
+    assert proc.returncode == 1
+    section = proc.stdout.split("counterexamples: 1 -> 1\n", 1)[1]
+    assert "b.printed" in section and '"fail" -> "pass"' in section
+
+
+def test_report_diff_imports_nothing_from_the_package():
+    tree = ast.parse(REPORT_DIFF.read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not [m for m in modules if m.split(".")[0] == "qbernstein"]

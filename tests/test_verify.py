@@ -215,6 +215,19 @@ def test_dropped_entries_are_decided_by_others(golden_run):
                     assert entry("bernstein.operator_linear", n=str(n), u=u, method=method).rhs == u
         agree = [e for e in report.entries if e.identity_id == "bernstein.operator_methods_agree"]
         assert not [e for e in agree if e.params["samples"].startswith(("t^0,", "t^1,"))]
+        # operator_stirling_bridge at m = 0 and m = 1 stated n**m A(t^m)(u) =
+        # sum_k C(n,k) u**k k! S(m,k), which reads A(1) = 1 and n A(t) = n u:
+        # the direct entries of operator_constant and operator_linear
+        bridge = [e for e in report.entries if e.identity_id == "bernstein.operator_stirling_bridge"]
+        assert not [e for e in bridge if int(e.params["m"]) < 2]
+        for n in range(1, min(cfg.nmax, 10) + 1):
+            for u in (Fraction(1, 3), Fraction(2, 5)):
+                shown = verify._show(u)
+                assert entry("bernstein.operator_constant", n=str(n), u=shown, method="direct").rhs == "1"
+                assert entry("bernstein.operator_linear", n=str(n), u=shown, method="direct").rhs == shown
+                for m in (0, 1):
+                    lhs = n**m * bernstein.operator_apply(bernstein.monomial_samples(m, n), u)
+                    assert lhs == verify._bridge_rhs(m, n, u) == (1 if m == 0 else n * u)
     if "euler.polynomial_at_zero" in ids:
         # polynomial_closed_form at x = 0 compared euler_poly(n, 0, q), the lhs
         # of polynomial_at_zero, with euler_poly_closed(n, 0, q) = euler_closed(n, q),
@@ -247,18 +260,26 @@ def test_dropped_entries_are_decided_by_others(golden_run):
             ratio = Fraction(coeff, _coefficient(rep_k, rep_pairs))
             assert direct == ratio * Fraction(rep.lhs)
             assert reflected == ratio * Fraction(rep.rhs)
-    if "stirling.monomial_expansion" in ids:
-        # monomial_expansion checks expansions[j] == u**j at every q, so a bridge
-        # entry total == expansions[j] is the same q-free statement at every q
-        smallest = verify._show(min(cfg.qs))
-        bridges = [e for e in report.entries if e.identity_id == "stirling.basis_expansion_bridge"]
-        assert {e.params["q"] for e in bridges} == {smallest}
-        assert len(bridges) == 45
-        for q in map(verify._show, cfg.qs):
-            for bridge in bridges:
-                expansion = entry("stirling.monomial_expansion", n=bridge.params["j"], q=q)
-                assert expansion.verdict == bridge.verdict == "pass"
-                assert bridge.lhs == bridge.rhs == expansion.lhs == expansion.rhs
+    # stirling.basis_expansion_bridge stated sum_k c_k B_{k,n} = expansions[j] for
+    # j <= n <= 8; as monomial_expansion checks expansions[j] == u**j at every q,
+    # that is bernstein.monomial_in_basis {j, n}, which the bernstein suite owns
+    assert "stirling.basis_expansion_bridge" not in ids
+    if "bernstein.monomial_in_basis" in ids:
+        for n in range(min(cfg.nmax, 8) + 1):
+            for j in range(n + 1):
+                assert entry("bernstein.monomial_in_basis", j=str(j), n=str(n)).verdict == "pass"
+
+
+def test_stirling_suite_needs_no_bernstein_basis(monkeypatch):
+    # the bernstein suite owns every statement about the basis
+    def refuse(*args):
+        raise AssertionError("the stirling suite built a Bernstein basis member")
+
+    monkeypatch.setattr(verify.qb, "basis_upoly", refuse)
+    monkeypatch.setattr(verify.qb, "monomial_in_basis", refuse)
+    entries = [verify._entry(check) for check in verify._suite_stirling(VerifyConfig())]
+    assert entries and all(e.verdict == "pass" for e in entries)
+    assert {e.identity_id.split(".")[0] for e in entries} == {"stirling"}
 
 
 def test_report_does_not_depend_on_the_order_of_q(tmp_path, capsys):
